@@ -77,30 +77,16 @@ def solve(rows, rhs) -> tuple[Fraction, ...] | None:
 
 
 def mat_vec(rows, v) -> tuple[Fraction, ...]:
-    return tuple(sum(Fraction(a) * Fraction(b) for a, b in zip(row, v)) for row in rows)
+    return tuple(sum(Fraction(a) * Fraction(b) for a, b in zip(row, v, strict=True))
+                 for row in rows)
 
 
 def dot(u, v) -> Fraction:
-    return sum(Fraction(a) * Fraction(b) for a, b in zip(u, v))
+    return sum(Fraction(a) * Fraction(b) for a, b in zip(u, v, strict=True))
 
 
 def primitive(vec) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers, first nonzero entry positive."""
-    fr = [Fraction(x) for x in vec]
-    if all(x == 0 for x in fr):
-        raise ValueError("zero vector has no primitive representative")
-    mult = lcm(*(x.denominator for x in fr))
-    ints = [int(x * mult) for x in fr]
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
-
-
-def primitive_keep_sign(vec) -> tuple[int, ...]:
-    """Like primitive() but never flips the overall sign."""
+    """Scale a rational vector to coprime integers, keeping its direction."""
     fr = [Fraction(x) for x in vec]
     if all(x == 0 for x in fr):
         raise ValueError("zero vector has no primitive representative")

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +42,9 @@ def dual_description(rows: list, dim: int) -> tuple[list[IntVec], list[IntVec]]:
     the constraints of corank one, so enumerating those subsets is complete.
     """
     rows = [tuple(Fraction(x) for x in r) for r in rows]
-    lineality = sorted(la.primitive(v) for v in la.nullspace(rows, dim))
+    # of p and -p, max() keeps the one whose first nonzero entry is positive
+    lineality = sorted(max(p, tuple(-x for x in p))
+                       for p in map(la.primitive, la.nullspace(rows, dim)))
     lindim = len(lineality)
     ddim = dim - lindim
     if ddim == 0:
@@ -76,14 +77,7 @@ def dual_description(rows: list, dim: int) -> tuple[list[IntVec], list[IntVec]]:
         else:
             continue
         ray = tuple(sum(u[j] * comp[j][i] for j in range(ddim)) for i in range(dim))
-        rays.add(la.primitive_keep_sign(ray))
-    if ddim == 1:
-        # no proper subsets to enumerate; the single coordinate direction works
-        for sign in (1, -1):
-            u = (Fraction(sign),)
-            if all(la.dot(r, u) >= 0 for r in reduced):
-                ray = tuple(u[0] * comp[0][i] for i in range(dim))
-                rays.add(la.primitive_keep_sign(ray))
+        rays.add(la.primitive(ray))
     return sorted(rays), lineality
 
 
@@ -155,56 +149,6 @@ def intersect_subspace(C: Cone, basis) -> Cone:
     return cone_from_generators(gens, k)
 
 
-def fm_member(C: Cone, v) -> bool:
-    """Membership test that never looks at facets.
-
-    Asks whether v is a nonnegative combination of the generators by
-    Fourier-Motzkin elimination, so it cross-checks the dual description.
-    """
-    gens = list(C.rays) + list(C.lineality) + [tuple(-x for x in l) for l in C.lineality]
-    return fm_feasible(gens, tuple(Fraction(x) for x in v))
-
-
-def fm_feasible(rows, rhs) -> bool:
-    """Fourier-Motzkin check for {x >= 0 : rows^T x = rhs} being nonempty.
-
-    rows are the generators (one per variable); rhs the target vector.  Used
-    as an independent membership oracle against the facet route.  Constraints
-    are integer tuples (coefficients..., constant) meaning c.x + const >= 0;
-    gcd reduction and a set keep the combinatorial growth tame.
-    """
-    m = len(rows)
-    dim = len(rhs)
-
-    def norm(vec: tuple[int, ...]) -> tuple[int, ...]:
-        g = 0
-        for x in vec:
-            g = math.gcd(g, x)
-        return vec if g in (0, 1) else tuple(x // g for x in vec)
-
-    cons: set[tuple[int, ...]] = set()
-    for i in range(m):
-        cons.add(tuple(1 if j == i else 0 for j in range(m)) + (0,))
-    for d in range(dim):
-        col = [Fraction(rows[i][d]) for i in range(m)] + [-Fraction(rhs[d])]
-        mult = math.lcm(*(x.denominator for x in col))
-        ints = tuple(int(x * mult) for x in col)
-        cons.add(norm(ints))
-        cons.add(norm(tuple(-x for x in ints)))
-    for var in range(m):
-        pos = [c for c in cons if c[var] > 0]
-        neg = [c for c in cons if c[var] < 0]
-        new = {c for c in cons if c[var] == 0}
-        for p in pos:
-            for q in neg:
-                sp, sq = -q[var], p[var]
-                comb = tuple(sp * a + sq * b for a, b in zip(p, q))
-                if any(comb):
-                    new.add(norm(comb))
-        cons = new
-    return all(c[m] >= 0 for c in cons)
-
-
 @dataclass(frozen=True)
 class Wall:
     """A hyperplane through the origin, stored by a defining functional."""
@@ -249,7 +193,7 @@ def restrict_walls(ws: WallSet, basis, labels=None) -> tuple[WallSet, list[Wall]
         if all(x == 0 for x in restricted):
             dropped.append(w)
             continue
-        prim = la.primitive_keep_sign(restricted)
+        prim = la.primitive(restricted)
         if prim in seen:
             continue
         seen.add(prim)
@@ -283,7 +227,7 @@ def transport_wallset_down(ws: WallSet) -> WallSet:
         for up in basis_up:
             coords = tuple(up.surface_part.coeffs) + (up.b_coeff,)
             vals.append(la.dot(phi, coords))
-        return la.primitive_keep_sign(vals)
+        return la.primitive(vals)
 
     walls = tuple(
         Wall(adjoint(w.functional), w.label,
@@ -340,6 +284,15 @@ def fixture_path(name: str) -> Path:
 
 def load_fixture(name: str) -> Fixture:
     raw = json.loads(fixture_path(name).read_text())
+    dim = len(raw["basis"])
+    for i, ray in enumerate(raw["bounding_cone"], 1):
+        if len(ray) != dim:
+            raise ValueError(f"bounding cone ray {i} has {len(ray)} entries, "
+                             f"the basis has {dim}")
+    for w in raw["walls"]:
+        if len(w["functional"]) != dim:
+            raise ValueError(f"wall {w.get('label', '')!r} has a functional with "
+                             f"{len(w['functional'])} entries, the basis has {dim}")
     surface = raw.get("surface", {})
     ws = WallSet(
         basis_labels=tuple(raw["basis"]),

@@ -15,7 +15,6 @@ import sys
 from fractions import Fraction
 
 from . import chambers as ch
-from . import hilbpic as hp
 from . import nslattice as ns
 from . import reproduce as rp
 from . import severi as sv
@@ -113,32 +112,12 @@ def _fixture_vector(expr: str, label_map) -> tuple[Fraction, ...]:
     return tuple(v)
 
 
-def _rat(x) -> str:
-    return ns.format_rational(Fraction(x))
-
-
 def _emit(args, payload: dict, table_lines) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
         for line in table_lines:
             print(line)
-
-
-def _result_table(res: sv.SeveriResult) -> list[str]:
-    lines = ["class: " + hp.format_hilb(res.cls)]
-    if res.normalized_ray is not None:
-        lines.append("normalized_ray: " + hp.format_hilb(res.normalized_ray))
-    for name, val in res.checks.items():
-        if isinstance(val, dict):
-            body = " ".join(
-                f"{k}={_rat(v) if isinstance(v, (int, Fraction)) and not isinstance(v, bool) else v}"
-                for k, v in val.items())
-            lines.append(f"{name}: {body}")
-        else:
-            lines.append(f"{name}: {val}")
-    lines.append("flags: " + (", ".join(res.flags) if res.flags else "none"))
-    return lines
 
 
 def cmd_class(args) -> int:
@@ -153,18 +132,20 @@ def cmd_class(args) -> int:
         raise CLIError("--subcollection applies to the plane only")
     if args.codim and S.kind != "p2":
         raise CLIError("--codim applies to the plane only")
-    if S.kind == "p2":
-        d = int(C.coeffs[0])
-        if args.subcollection is not None:
-            res = sv.severi_class_subcollection(d, args.n, args.subcollection)
-        else:
-            res = sv.severi_class_p2(d, args.n, args.codim)
-    elif S.kind == "hirzebruch":
-        a, b = (int(c) for c in C.coeffs)
-        res = sv.severi_class_hirzebruch(S.r, a, b, args.n)
+    if args.subcollection is not None:
+        res = sv.severi_class_subcollection(int(C.coeffs[0]), args.n, args.subcollection)
     else:
-        res = sv.severi_class_general(S, C, args.n, h0=args.h0)
-    _emit(args, sv.result_to_json(res), _result_table(res))
+        res = sv.severi_class_general(S, C, args.n, h0=args.h0, codim=args.codim)
+    payload = sv.result_to_json(res)
+    lines = ["class: " + payload["pretty"]]
+    if "normalized_ray_pretty" in payload:
+        lines.append("normalized_ray: " + payload["normalized_ray_pretty"])
+    for name, val in payload["checks"].items():
+        if isinstance(val, dict):
+            val = " ".join(f"{k}={v}" for k, v in val.items())
+        lines.append(f"{name}: {val}")
+    lines.append("flags: " + (", ".join(payload["flags"]) or "none"))
+    _emit(args, payload, lines)
     return 0
 
 
@@ -323,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subcollection", type=int, default=None, metavar="M",
                    help="total points M with only n of them nodes (plane only)")
     p.add_argument("--h0", type=int, default=None,
-                   help="section count when the surface cannot supply one")
+                   help="section count; replaces the computed one on every surface "
+                        "(not with --subcollection) and is required on blowups")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.set_defaults(func=cmd_class)
 

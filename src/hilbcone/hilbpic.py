@@ -15,11 +15,7 @@ from fractions import Fraction
 
 from . import _linalg as la
 from . import nslattice as ns
-from .nslattice import SurfaceClass, SurfaceLattice, format_rational
-
-
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .nslattice import SurfaceClass, SurfaceLattice, _fr, format_rational
 
 
 @dataclass(frozen=True)

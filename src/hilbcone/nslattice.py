@@ -28,10 +28,6 @@ def format_rational(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
-
-
 @dataclass(frozen=True)
 class SurfaceClass:
     """A divisor class: exact rational coefficients over a fixed surface basis."""

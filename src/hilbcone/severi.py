@@ -10,7 +10,7 @@ per-filter verdicts instead of canonizing any one filter set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import hilbpic as hp
@@ -58,25 +58,21 @@ class SeveriResult:
 
 
 def _h0_for(S: SurfaceLattice, C: SurfaceClass) -> int | None:
+    """Closed-form section count per surface kind; None where none applies."""
+    if not C.is_integral():
+        return None
+    c = [int(x) for x in C.coeffs]
     if S.kind == "p2":
-        d = C.coeffs[0]
-        if d.denominator == 1 and d >= 0:
-            return ns.h0_p2(int(d))
-        return None
+        return ns.h0_p2(c[0])
     if S.kind == "hirzebruch":
-        a, b = C.coeffs
-        if a.denominator == 1 and b.denominator == 1 and a >= 0:
-            return ns.h0_hirzebruch(S.r, int(a), int(b))
-        return None
-    if S.kind == "k3":
-        d = C.coeffs[0]
-        if d.denominator == 1 and d >= 1:
-            return ns.h0_k3(S.deg, int(d))
-        return None
+        return ns.h0_hirzebruch(S.r, *c)
+    if S.kind == "k3" and c[0] >= 1:
+        return ns.h0_k3(S.deg, c[0])
     return None
 
 
-def _base_checks(S: SurfaceLattice, C: SurfaceClass, n: int, dim_lhs, codim: int):
+def _base_checks(S: SurfaceLattice, C: SurfaceClass, k3c: SurfaceClass, n: int,
+                 dim_lhs, codim: int):
     checks: dict = {}
     flags: list[str] = []
 
@@ -94,7 +90,7 @@ def _base_checks(S: SurfaceLattice, C: SurfaceClass, n: int, dim_lhs, codim: int
         # satisfy; the displayed equation elsewhere adds one more
         flags.append(FLAG_EQ_SEV)
 
-    eff = ns.is_effective(S, S.canonical + 3 * C)
+    eff = ns.is_effective(S, k3c)
     checks["k3c_effective"] = eff
     if eff == "no":
         flags.append(FLAG_K3C_NO)
@@ -120,36 +116,37 @@ def _base_checks(S: SurfaceLattice, C: SurfaceClass, n: int, dim_lhs, codim: int
 
 
 def severi_class_general(S: SurfaceLattice, C: SurfaceClass, n: int,
-                         h0: int | None = None) -> SeveriResult:
+                         h0: int | None = None, codim: int = 0) -> SeveriResult:
     """Sev(n, L) = (K_X + 3C)[n] - 5/2 B for a curve class C with h0 sections.
 
-    h0 is computed for the plane, Hirzebruch surfaces, and rank-one K3s; any
-    other lattice needs it supplied.
+    h0 is computed for the plane, Hirzebruch surfaces, and rank-one K3s; a
+    supplied h0 replaces it, and any other lattice needs it supplied.  With
+    codim > 0 the curves range over a linear subsystem of that codimension
+    and the dimension equation becomes h0 = 3n + codim.  On F_r the
+    dimension check is the relation chi(C) = (a+1)(b+1) - r a(a+1)/2 = 3n;
+    the section count can exceed chi when b < ar, which gets its own flag.
     """
+    if S.kind == "p2" and C.coeffs[0] < 1:
+        raise ValueError("need a curve of positive degree")
+    if S.kind == "hirzebruch" and min(C.coeffs) < 0:
+        raise ValueError("need a nonnegative curve class")
     if h0 is None:
         h0 = _h0_for(S, C)
         if h0 is None and S.kind == "blowup":
             raise ValueError("section count is not computable here; pass h0")
-    cls = hp.lift_divisor(S, S.canonical + 3 * C, n) - Fraction(5, 2) * hp.exceptional(S, n)
-    checks, flags = _base_checks(S, C, n, h0, codim=0)
+    k3c = S.canonical + 3 * C
+    cls = HilbDivClass(S, k3c, Fraction(-5, 2), n)
+    dim_lhs = ns.chi(S, C) if S.kind == "hirzebruch" else h0
+    checks, flags = _base_checks(S, C, k3c, n, dim_lhs, codim)
     if S.kind == "hirzebruch" and h0 is not None and h0 != 3 * n:
         flags.append(FLAG_H0)
-    return SeveriResult(cls, checks, tuple(flags), SeveriInput(S, C, n))
+    return SeveriResult(cls, checks, tuple(flags), SeveriInput(S, C, n, codim=codim))
 
 
 def severi_class_p2(d: int, n: int, codim: int = 0) -> SeveriResult:
-    """(3d-3)H - 5/2 B for degree-d curves with n nodes.
-
-    With codim > 0 the curves range over a linear subsystem of that
-    codimension and the dimension equation becomes h0 = 3n + codim.
-    """
-    if d < 1:
-        raise ValueError("need a curve of positive degree")
+    """(3d-3)H - 5/2 B for degree-d plane curves with n nodes."""
     S = ns.make_p2()
-    C = ns.make_class(S, [d])
-    cls = hp.hilb_class(S, [3 * d - 3], Fraction(-5, 2), n)
-    checks, flags = _base_checks(S, C, n, ns.h0_p2(d), codim)
-    return SeveriResult(cls, checks, tuple(flags), SeveriInput(S, C, n, codim=codim))
+    return severi_class_general(S, ns.make_class(S, [d]), n, codim=codim)
 
 
 def severi_class_subcollection(d: int, n: int, m: int, l: int = 0) -> SeveriResult:
@@ -161,32 +158,21 @@ def severi_class_subcollection(d: int, n: int, m: int, l: int = 0) -> SeveriResu
     """
     from math import comb
 
+    if n < 2:
+        raise ValueError("a subcollection class needs at least two nodes")
     if m < n:
         raise ValueError("total point count cannot be below the node count")
-    S = ns.make_p2()
-    C = ns.make_class(S, [d])
-    h_mult = comb(m - 1, n - 1) * (3 * d - 3)
-    b_mult = Fraction(-5, 2) * comb(m - 2, n - 2)
-    cls = hp.hilb_class(S, [h_mult], b_mult, m)
-    ray = hp.hilb_class(S, [Fraction(m - 1, n - 1) * (3 * d - 3)], Fraction(-5, 2), m)
-    checks, flags = _base_checks(S, C, n, ns.h0_p2(d), l)
-    return SeveriResult(cls, checks, tuple(flags),
-                        SeveriInput(S, C, n, codim=l, m=m), normalized_ray=ray)
+    res = severi_class_p2(d, n, l)
+    S, h = res.cls.surface, res.cls.surface_part.coeffs[0]
+    cls = hp.hilb_class(S, [comb(m - 1, n - 1) * h], Fraction(-5, 2) * comb(m - 2, n - 2), m)
+    ray = hp.hilb_class(S, [Fraction(m - 1, n - 1) * h], Fraction(-5, 2), m)
+    return replace(res, cls=cls, input=replace(res.input, m=m), normalized_ray=ray)
 
 
 def severi_class_hirzebruch(r: int, a: int, b: int, n: int) -> SeveriResult:
     """(3a-2)E + (3b-r-2)F - 5/2 B for class aE + bF with n nodes on F_r."""
-    if a < 0 or b < 0:
-        raise ValueError("need a nonnegative curve class")
     S = ns.make_hirzebruch(r)
-    C = ns.make_class(S, [a, b])
-    cls = hp.hilb_class(S, [3 * a - 2, 3 * b - r - 2], Fraction(-5, 2), n)
-    # the dimension check is the relation (a+1)(b+1) - r a(a+1)/2 = 3n; the
-    # section count can exceed it when b < ar, which gets its own flag
-    checks, flags = _base_checks(S, C, n, ns.chi(S, C), codim=0)
-    if ns.h0_hirzebruch(r, a, b) != 3 * n:
-        flags.append(FLAG_H0)
-    return SeveriResult(cls, checks, tuple(flags), SeveriInput(S, C, n))
+    return severi_class_general(S, ns.make_class(S, [a, b]), n)
 
 
 @dataclass(frozen=True)

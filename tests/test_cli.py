@@ -109,10 +109,24 @@ def test_class_table_format(capsys):
     ("class", "--surface", "fr:1", "--curve", "E+F", "--n", "1",
      "--subcollection", "5"),
     ("class", "--surface", "fr:1", "--curve", "E+F", "--n", "1", "--codim", "1"),
+    ("class", "--surface", "p2", "--curve", "7H", "--n", "1", "--subcollection", "3"),
+    ("class", "--surface", "p2", "--curve", "7H", "--n", "1", "--subcollection", "1"),
+    ("class", "--surface", "p2", "--curve", "0H", "--n", "12", "--subcollection", "13"),
 ])
 def test_class_usage_errors_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("hilbcone:")
+
+
+def test_class_h0_replaces_the_computed_count(capsys):
+    payload = run_json(capsys, "class", "--surface", "p2", "--curve", "7H",
+                       "--n", "12", "--h0", "37")
+    assert payload["checks"]["dimension_equation"]["lhs"] == "37"
+    assert sv.FLAG_DIM in payload["flags"]
+    payload = run_json(capsys, "class", "--surface", "fr:1", "--curve", "7E+7F",
+                       "--n", "12", "--h0", "37")
+    assert payload["checks"]["dimension_equation"]["lhs"] == "36"
+    assert sv.FLAG_H0 in payload["flags"]
 
 
 def test_missing_required_flag_is_a_usage_error(capsys):
@@ -201,6 +215,24 @@ def test_cone_transport_fixture(capsys):
 def test_cone_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and err.startswith("hilbcone:")
+
+
+@pytest.mark.parametrize("field,index,message", [
+    ("walls", 2, "wall 'E4F' has a functional with 2 entries"),
+    ("bounding_cone", 1, "bounding cone ray 2 has 2 entries"),
+], ids=["wall", "ray"])
+def test_fixture_with_short_vector_is_rejected(capsys, tmp_path, field, index, message):
+    raw = json.loads((Path(sv.__file__).parent / "fixtures" / "f1n3.json").read_text())
+    if field == "walls":
+        raw["walls"][index]["functional"] = [0, 1]
+    else:
+        raw["bounding_cone"][index] = [1, 0]
+    bad = tmp_path / "short.json"
+    bad.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "cone", "walls-restrict", "--fixture", str(bad),
+                             "--subspace", "H,B")
+    assert code == 2 and out == ""
+    assert err.startswith("hilbcone: " + message) and err.count("\n") == 1
 
 
 # -- plot -------------------------------------------------------------------------

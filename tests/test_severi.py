@@ -59,6 +59,11 @@ def test_subcollection_test_curves():
     assert cprime.pair(d) == 161 == 18 + 11 * 13
     with pytest.raises(ValueError):
         sv.severi_class_subcollection(7, 12, 11)
+    for m in (1, 3):
+        with pytest.raises(ValueError, match="at least two nodes"):
+            sv.severi_class_subcollection(7, 1, m)
+    with pytest.raises(ValueError, match="positive degree"):
+        sv.severi_class_subcollection(0, 12, 13)
 
 
 def test_subcollection_m_equals_n_degenerates():
@@ -83,21 +88,42 @@ def test_hirzebruch_classes():
 
 
 def test_general_matches_specializations():
-    for d in (2, 5, 7, 9, 28):
+    minus = Fraction(-5, 2)
+    for d in (1, 2, 5, 7, 9, 28):
         for n in (1, 5, 12, 18):
-            a = sv.severi_class_p2(d, n)
-            b = sv.severi_class_general(P2, ns.make_class(P2, [d]), n)
-            assert a.cls == b.cls
+            for codim in (0, 1, 2):
+                res = sv.severi_class_general(P2, ns.make_class(P2, [d]), n, codim=codim)
+                assert coeffs(res) == ((3 * d - 3,), minus)
+                assert sv.result_to_json(sv.severi_class_p2(d, n, codim)) == \
+                    sv.result_to_json(res)
     for r in range(4):
         fr = ns.make_hirzebruch(r)
-        for a_ in range(4):
-            for b_ in range(5):
-                x = sv.severi_class_hirzebruch(r, a_, b_, 7)
-                y = sv.severi_class_general(fr, ns.make_class(fr, [a_, b_]), 7)
-                assert x.cls == y.cls
-                # the stated coefficients agree with K + 3C
-                k3c = fr.canonical + 3 * ns.make_class(fr, [a_, b_])
-                assert k3c.coeffs == (Fraction(3 * a_ - 2), Fraction(3 * b_ - r - 2))
+        for a in range(5):
+            for b in range(7):
+                res = sv.severi_class_general(fr, ns.make_class(fr, [a, b]), 7)
+                assert coeffs(res) == ((3 * a - 2, 3 * b - r - 2), minus)
+                assert sv.result_to_json(sv.severi_class_hirzebruch(r, a, b, 7)) == \
+                    sv.result_to_json(res)
+    for deg in (4, 6, 8):
+        k3 = ns.make_k3(deg)
+        for d in range(1, 5):
+            res = sv.severi_class_general(k3, ns.make_class(k3, [d]), 3)
+            assert coeffs(res) == ((3 * d,), minus)
+
+
+def test_general_dimension_lhs_is_chi_on_hirzebruch():
+    # 2E + 2F on F_3: h0 = 3 + 0 + 0 = 3n for n = 1, but chi = 9 - 9 = 0
+    f3 = ns.make_hirzebruch(3)
+    C = ns.make_class(f3, [2, 2])
+    res = sv.severi_class_general(f3, C, 1)
+    assert res.checks["dimension_equation"] == {"lhs": 0, "rhs": 3, "pass": False}
+    assert sv.FLAG_H0 not in res.flags
+    assert sv.FLAG_H0 in sv.severi_class_general(f3, C, 1, h0=4).flags
+    for bad in ((-1, 2), (1, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sv.severi_class_general(f3, ns.make_class(f3, list(bad)), 1)
+    with pytest.raises(ValueError, match="positive degree"):
+        sv.severi_class_general(P2, ns.make_class(P2, [0]), 1)
 
 
 def test_general_on_k3():
