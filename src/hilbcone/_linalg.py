@@ -1,8 +1,10 @@
-"""Small exact linear algebra over Fraction.
+"""Small exact linear algebra over Fraction and Python ints.
 
-Row reduction, kernels, solving and congruence diagonalization, all with
-rational pivots.  Matrices are sequences of row sequences; sizes stay tiny
-(rank at most five or six), so nothing here needs to be clever.
+Row reduction, kernels, solving and congruence diagonalization use rational
+pivots.  Rank and determinant use fraction-free Bareiss elimination over
+Python ints instead (Bareiss 1968): every entry after a step is a minor of
+the input, so each division is exact and no Fraction is made.  Matrices are
+sequences of row sequences; sizes stay tiny (rank at most five or six).
 """
 
 from __future__ import annotations
@@ -42,8 +44,46 @@ def rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
     return m[:row], pivots
 
 
+def _bareiss(m: list[list[int]], ncols: int) -> tuple[int, int]:
+    """Fraction-free row echelon of integer rows, in place.
+
+    Returns the rank and the last pivot signed by the row swaps; for a
+    square matrix of full rank that is its determinant.
+    """
+    r, prev, sign = 0, 1, 1
+    for c in range(ncols):
+        if r == len(m):
+            break
+        sel = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if sel is None:
+            continue
+        if sel != r:
+            m[r], m[sel] = m[sel], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], top)]
+        prev = p
+        r += 1
+    return r, sign * prev
+
+
 def rank(rows, ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
+    """Rank of rational rows, each scaled to a primitive integer row first."""
+    if any(len(r) != ncols for r in rows):
+        raise ValueError(f"rank of rows whose length is not {ncols}")
+    return _bareiss([list(primitive(r)) for r in rows if any(r)], ncols)[0]
+
+
+def det(m) -> int:
+    """Determinant of a square integer matrix; 1 for the empty one."""
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise ValueError("determinant of a matrix that is not square")
+    r, d = _bareiss([list(row) for row in m], n)
+    return d if r == n else 0
 
 
 def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
@@ -87,12 +127,12 @@ def dot(u, v) -> Fraction:
 
 def primitive(vec) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers, keeping its direction."""
-    fr = [Fraction(x) for x in vec]
-    if all(x == 0 for x in fr):
-        raise ValueError("zero vector has no primitive representative")
+    fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
     mult = lcm(*(x.denominator for x in fr))
-    ints = [int(x * mult) for x in fr]
+    ints = [x.numerator * mult // x.denominator for x in fr]
     g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in ints)
 
 

@@ -1,11 +1,11 @@
 """Exact rational polyhedral cones, wall sets, and their restrictions.
 
 Cones are stored by primitive integer generators together with a derived
-facet description, both computed by the same small double-description
-kernel: the dual of a list of vectors is found by splitting off the
-lineality space and enumerating extreme rays of the pointed part through
-maximal-rank subsets.  Everything is exact and ambient ranks stay at most
-five, so brute force is the right tool.
+facet description, both computed by the same double-description kernel:
+the dual of a list of vectors is found by splitting off the lineality space
+and running the incremental double description method on the pointed part,
+over Python ints, with a combinatorial adjacency test on bitmask zero sets.
+Everything is exact.
 
 Wall sets bundle a bounding cone with a list of wall functionals; the
 operations on them mirror how base-locus decompositions restrict to a
@@ -19,7 +19,6 @@ cones through an affine cross-section.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -38,47 +37,114 @@ def dual_description(rows: list, dim: int) -> tuple[list[IntVec], list[IntVec]]:
 
     The lineality space is the kernel of the rows.  The pointed quotient is
     taken in coordinates given by standard basis vectors completing that
-    kernel; there every extreme ray is the kernel of some spanning subset of
-    the constraints of corank one, so enumerating those subsets is complete.
+    kernel.  There the extreme rays come from the incremental double
+    description method over Python ints (_pointed_rays), which calls two rays
+    adjacent when the rows tight at both number at least ddim-2 and are not
+    all tight at any third ray.  Each ray is lifted back through those
+    coordinates, so it keeps its representative modulo the lineality space.
     """
-    rows = [tuple(Fraction(x) for x in r) for r in rows]
+    if any(len(r) != dim for r in rows):
+        raise ValueError(f"constraint rows must have {dim} entries")
+    # positive scaling changes no half-space
+    ints = list(dict.fromkeys(la.primitive(r) for r in rows if any(r)))
+    kernel = la.nullspace(ints, dim) if la.rank(ints, dim) < dim else []
     # of p and -p, max() keeps the one whose first nonzero entry is positive
-    lineality = sorted(max(p, tuple(-x for x in p))
-                       for p in map(la.primitive, la.nullspace(rows, dim)))
+    lineality = sorted(max(p, tuple(-x for x in p)) for p in map(la.primitive, kernel))
     lindim = len(lineality)
     ddim = dim - lindim
     if ddim == 0:
         return [], lineality
 
     # complete the lineality space by standard basis vectors
-    comp: list[tuple[Fraction, ...]] = []
-    span = [tuple(Fraction(x) for x in v) for v in lineality]
+    comp: list[int] = []
+    span = list(lineality)
     for i in range(dim):
-        e = tuple(Fraction(1 if j == i else 0) for j in range(dim))
-        if la.rank(span + comp + [e], dim) > lindim + len(comp):
-            comp.append(e)
+        e = tuple(1 if j == i else 0 for j in range(dim))
+        if la.rank(span + [e], dim) > len(span):
+            span.append(e)
+            comp.append(i)
     assert len(comp) == ddim
 
-    reduced = [tuple(la.dot(r, c) for c in comp) for r in rows]
-    rays: set[IntVec] = set()
-    for subset in itertools.combinations(range(len(reduced)), ddim - 1):
-        sub = [reduced[i] for i in subset]
-        if la.rank(sub, ddim) != ddim - 1:
-            continue
-        kernel = la.nullspace(sub, ddim)
-        if len(kernel) != 1:
-            continue
-        u = kernel[0]
-        vals = [la.dot(r, u) for r in reduced]
-        if all(v >= 0 for v in vals):
-            pass
-        elif all(v <= 0 for v in vals):
-            u = tuple(-x for x in u)
-        else:
-            continue
-        ray = tuple(sum(u[j] * comp[j][i] for j in range(ddim)) for i in range(dim))
-        rays.add(la.primitive(ray))
+    # a nonzero row stays nonzero on the complement, as it vanishes on the
+    # lineality space; distinct primitive rows stay distinct for the same reason
+    reduced = [la.primitive([r[i] for i in comp]) for r in ints]
+    rays = []
+    for u in _pointed_rays(reduced, ddim):
+        ray = [0] * dim
+        for i, x in zip(comp, u):
+            ray[i] = x
+        rays.append(tuple(ray))
     return sorted(rays), lineality
+
+
+def _cross(vectors: list[IntVec], d: int) -> IntVec:
+    """Generalised cross product of d-1 integer vectors in Z^d.
+
+    Entry j is (-1)^j times the minor without column j, so the result is
+    orthogonal to every vector and nonzero exactly when they are independent.
+    """
+    return tuple((-1) ** j * la.det([v[:j] + v[j + 1:] for v in vectors])
+                 for j in range(d))
+
+
+def _pointed_rays(rows: list[IntVec], d: int) -> list[IntVec]:
+    """Extreme rays of the pointed cone {x in Q^d : r.x >= 0 for r in rows}.
+
+    rows are distinct primitive integer rows of rank d.  This is the
+    incremental double description method (Motzkin et al. 1953) with the
+    combinatorial adjacency test of Fukuda and Prodon (1996, "Double
+    description method revisited").  It starts from d independent rows,
+    whose cone is simplicial: its rays are signed cross products.  Each
+    further row splits the rays by sign; a ray it makes negative is dropped,
+    and every adjacent pair of a positive and a negative ray gives a new ray
+    on the row's hyperplane.  A ray's zero set is the bitmask of rows it
+    makes tight.  Two rays are adjacent when their common zero set has at
+    least d-2 members and lies in no other ray's zero set.
+    """
+    seed: list[int] = []
+    for j, r in enumerate(rows):
+        if la.rank([rows[i] for i in seed] + [r], d) > len(seed):
+            seed.append(j)
+            if len(seed) == d:
+                break
+    seeded = sum(1 << i for i in seed)
+    rays, zeros = [], []
+    for i in seed:
+        u = _cross([rows[k] for k in seed if k != i], d)
+        if _dot(rows[i], u) < 0:
+            u = tuple(-x for x in u)
+        rays.append(la.primitive(u))
+        zeros.append(seeded & ~(1 << i))
+
+    for j, r in enumerate(rows):
+        if seeded >> j & 1:
+            continue
+        bit = 1 << j
+        vals = [_dot(r, u) for u in rays]
+        new_rays, new_zeros = [], []
+        for p, vp in enumerate(vals):
+            if vp <= 0:
+                continue
+            for q, vq in enumerate(vals):
+                if vq >= 0:
+                    continue
+                common = zeros[p] & zeros[q]
+                if common.bit_count() < d - 2:
+                    continue
+                if sum(z & common == common for z in zeros) > 2:
+                    continue
+                new_rays.append(la.primitive(
+                    [vp * b - vq * a for a, b in zip(rays[p], rays[q])]))
+                new_zeros.append(common | bit)
+        keep = [k for k, v in enumerate(vals) if v >= 0]
+        rays = [rays[k] for k in keep] + new_rays
+        zeros = [zeros[k] | bit if vals[k] == 0 else zeros[k] for k in keep] + new_zeros
+    return rays
+
+
+def _dot(u: IntVec, v: IntVec) -> int:
+    """Integer dot product for the kernel; la.dot builds a Fraction per term."""
+    return sum(a * b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -284,7 +350,15 @@ def fixture_path(name: str) -> Path:
 
 def load_fixture(name: str) -> Fixture:
     raw = json.loads(fixture_path(name).read_text())
-    dim = len(raw["basis"])
+    if not isinstance(raw, dict):
+        raise ValueError("a fixture must be a JSON object")
+    n = raw.get("n")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"fixture field 'n' must be a positive integer, not {n!r}")
+    basis = raw.get("basis")
+    if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
+        raise ValueError("fixture field 'basis' must be a list of strings")
+    dim = len(basis)
     for i, ray in enumerate(raw["bounding_cone"], 1):
         if len(ray) != dim:
             raise ValueError(f"bounding cone ray {i} has {len(ray)} entries, "
@@ -295,8 +369,8 @@ def load_fixture(name: str) -> Fixture:
                              f"{len(w['functional'])} entries, the basis has {dim}")
     surface = raw.get("surface", {})
     ws = WallSet(
-        basis_labels=tuple(raw["basis"]),
-        n=raw["n"],
+        basis_labels=tuple(basis),
+        n=n,
         bounding_cone=cone_from_generators(raw["bounding_cone"]),
         walls=tuple(
             Wall(tuple(w["functional"]), w.get("label", ""), w.get("cite", ""))

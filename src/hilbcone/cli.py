@@ -56,7 +56,10 @@ def parse_terms(expr: str) -> list[tuple[Fraction, str]]:
         if m is None:
             raise CLIError(f"cannot parse {expr!r} near {s[pos:]!r}")
         sign, num, label = m.groups()
-        coeff = Fraction(num) if num else Fraction(1)
+        try:
+            coeff = Fraction(num) if num else Fraction(1)
+        except ZeroDivisionError:
+            raise CLIError(f"zero denominator in {expr!r}") from None
         out.append((-coeff if sign == "-" else coeff, label))
         pos = m.end()
     return out
@@ -133,7 +136,10 @@ def cmd_class(args) -> int:
     if args.codim and S.kind != "p2":
         raise CLIError("--codim applies to the plane only")
     if args.subcollection is not None:
-        res = sv.severi_class_subcollection(int(C.coeffs[0]), args.n, args.subcollection)
+        if args.h0 is not None:
+            raise CLIError("--h0 does not apply with --subcollection")
+        res = sv.severi_class_subcollection(int(C.coeffs[0]), args.n, args.subcollection,
+                                            args.codim)
     else:
         res = sv.severi_class_general(S, C, args.n, h0=args.h0, codim=args.codim)
     payload = sv.result_to_json(res)
@@ -305,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total points M with only n of them nodes (plane only)")
     p.add_argument("--h0", type=int, default=None,
                    help="section count; replaces the computed one on every surface "
-                        "(not with --subcollection) and is required on blowups")
+                        "and is required on blowups (rejected with --subcollection)")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.set_defaults(func=cmd_class)
 

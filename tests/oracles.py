@@ -1,9 +1,63 @@
 """Independent oracles that tests compare the library against."""
 
+import itertools
 import math
 from fractions import Fraction
 
+from hilbcone import _linalg as la
 from hilbcone.chambers import Cone
+
+
+def _rank(rows, ncols: int) -> int:
+    return len(la.rref(rows, ncols)[1])
+
+
+def dual_description_subsets(rows: list, dim: int):
+    """Extreme rays and lineality of {x : r.x >= 0 for r in rows}, by brute force.
+
+    The reference for chambers.dual_description, which must return exactly
+    this.  The lineality space is the kernel of the rows; the pointed
+    quotient is taken in coordinates given by standard basis vectors
+    completing that kernel, and there every extreme ray is the kernel of
+    some subset of ddim-1 constraints of rank ddim-1, so enumerating those
+    subsets with Fraction row reduction is complete.
+    """
+    rows = [tuple(Fraction(x) for x in r) for r in rows]
+    lineality = sorted(max(p, tuple(-x for x in p))
+                       for p in map(la.primitive, la.nullspace(rows, dim)))
+    lindim = len(lineality)
+    ddim = dim - lindim
+    if ddim == 0:
+        return [], lineality
+
+    comp: list[tuple[Fraction, ...]] = []
+    span = [tuple(Fraction(x) for x in v) for v in lineality]
+    for i in range(dim):
+        e = tuple(Fraction(1 if j == i else 0) for j in range(dim))
+        if _rank(span + comp + [e], dim) > lindim + len(comp):
+            comp.append(e)
+    assert len(comp) == ddim
+
+    reduced = [tuple(la.dot(r, c) for c in comp) for r in rows]
+    rays = set()
+    for subset in itertools.combinations(range(len(reduced)), ddim - 1):
+        sub = [reduced[i] for i in subset]
+        if _rank(sub, ddim) != ddim - 1:
+            continue
+        kernel = la.nullspace(sub, ddim)
+        if len(kernel) != 1:
+            continue
+        u = kernel[0]
+        vals = [la.dot(r, u) for r in reduced]
+        if all(v >= 0 for v in vals):
+            pass
+        elif all(v <= 0 for v in vals):
+            u = tuple(-x for x in u)
+        else:
+            continue
+        ray = tuple(sum(u[j] * comp[j][i] for j in range(ddim)) for i in range(dim))
+        rays.add(la.primitive(ray))
+    return sorted(rays), lineality
 
 
 def fm_member(C: Cone, v) -> bool:
@@ -21,8 +75,10 @@ def fm_feasible(rows, rhs) -> bool:
 
     rows are the generators (one per variable); rhs the target vector.  Used
     as an independent membership oracle against the facet route.  Constraints
-    are integer tuples (coefficients..., constant) meaning c.x + const >= 0;
-    gcd reduction and a set keep the combinatorial growth tame.
+    are integer tuples (coefficients..., constant) meaning c.x + const >= 0,
+    equations the same with == 0.  A variable that some equation involves is
+    substituted away through it; the others are eliminated by Fourier-Motzkin,
+    with gcd reduction and a set keeping the combinatorial growth tame.
     """
     m = len(rows)
     dim = len(rhs)
@@ -33,24 +89,35 @@ def fm_feasible(rows, rhs) -> bool:
             g = math.gcd(g, x)
         return vec if g in (0, 1) else tuple(x // g for x in vec)
 
+    def combine(p, q, var):
+        """p[var] * q - q[var] * p with p[var] > 0: cancels var, and keeps the
+        sense of q when q is an inequality."""
+        return norm(tuple(p[var] * b - q[var] * a for a, b in zip(p, q)))
+
     cons: set[tuple[int, ...]] = set()
     for i in range(m):
         cons.add(tuple(1 if j == i else 0 for j in range(m)) + (0,))
+    eqs: list[tuple[int, ...]] = []
     for d in range(dim):
         col = [Fraction(rows[i][d]) for i in range(m)] + [-Fraction(rhs[d])]
         mult = math.lcm(*(x.denominator for x in col))
-        ints = tuple(int(x * mult) for x in col)
-        cons.add(norm(ints))
-        cons.add(norm(tuple(-x for x in ints)))
+        eqs.append(norm(tuple(int(x * mult) for x in col)))
     for var in range(m):
+        k = next((k for k, e in enumerate(eqs) if e[var] != 0), None)
+        if k is not None:
+            piv = eqs.pop(k)
+            if piv[var] < 0:
+                piv = tuple(-x for x in piv)
+            eqs = [combine(piv, e, var) for e in eqs]
+            cons = {combine(piv, c, var) for c in cons}
+            continue
         pos = [c for c in cons if c[var] > 0]
         neg = [c for c in cons if c[var] < 0]
         new = {c for c in cons if c[var] == 0}
         for p in pos:
             for q in neg:
-                sp, sq = -q[var], p[var]
-                comb = tuple(sp * a + sq * b for a, b in zip(p, q))
+                comb = combine(p, q, var)
                 if any(comb):
-                    new.add(norm(comb))
+                    new.add(comb)
         cons = new
-    return all(c[m] >= 0 for c in cons)
+    return all(c[m] >= 0 for c in cons) and all(e[m] == 0 for e in eqs)

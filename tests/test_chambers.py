@@ -6,7 +6,7 @@ import pytest
 from hilbcone import chambers as ch
 from hilbcone import hilbpic as hp
 from hilbcone import nslattice as ns
-from oracles import fm_member
+from oracles import dual_description_subsets, fm_member
 
 
 def test_quadrant_facets():
@@ -184,8 +184,8 @@ def test_transport_down_stops_at_f0():
 
 
 def _random_cone(rng):
-    dim = rng.randint(2, 4)
-    k = rng.randint(1, 4)
+    dim = rng.randint(2, 6)
+    k = rng.randint(1, dim + 2)
     gens = []
     while len(gens) < k:
         v = tuple(rng.randint(-4, 4) for _ in range(dim))
@@ -212,6 +212,39 @@ def test_random_cones_roundtrip_and_membership_oracle():
         for _ in range(3):
             probe = tuple(rng.randint(-6, 6) for _ in range(dim))
             assert ch.contains(C, probe) == fm_member(C, probe)
+
+
+def _random_rows(rng):
+    """Constraint rows with zero rows, repeats, +- pairs and Fraction entries."""
+    dim = rng.randint(2, 6)
+    rows = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.random()
+        if rows and kind < 0.1:
+            rows.append(rng.choice(rows))
+        elif rows and kind < 0.2:
+            rows.append(tuple(-x for x in rng.choice(rows)))
+        elif kind < 0.25:
+            rows.append((0,) * dim)
+        elif kind < 0.4:
+            rows.append(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                              for _ in range(dim)))
+        else:
+            rows.append(tuple(rng.randint(-3, 3) for _ in range(dim)))
+    return rows, dim
+
+
+def test_dual_description_matches_subset_enumeration():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        rows, dim = _random_rows(rng)
+        assert ch.dual_description(rows, dim) == dual_description_subsets(rows, dim), (
+            rows, dim)
+
+
+def test_dual_description_rejects_rows_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        ch.dual_description([(1, 0), (0, 1, 0)], 2)
 
 
 def test_wallset_json_roundtrip():

@@ -32,7 +32,7 @@ def test_parse_terms_signs_and_fractions():
 
 
 def test_parse_terms_rejects_garbage():
-    for bad in ("", "3*", "H+", "2", "+(H)"):
+    for bad in ("", "3*", "H+", "2", "+(H)", "1/0H"):
         with pytest.raises(cli.CLIError):
             cli.parse_terms(bad)
 
@@ -112,10 +112,24 @@ def test_class_table_format(capsys):
     ("class", "--surface", "p2", "--curve", "7H", "--n", "1", "--subcollection", "3"),
     ("class", "--surface", "p2", "--curve", "7H", "--n", "1", "--subcollection", "1"),
     ("class", "--surface", "p2", "--curve", "0H", "--n", "12", "--subcollection", "13"),
+    ("class", "--surface", "p2", "--curve", "1/0H", "--n", "1"),
+    ("class", "--surface", "p2", "--curve", "7H", "--n", "12", "--subcollection", "13",
+     "--h0", "5"),
 ])
 def test_class_usage_errors_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("hilbcone:")
+
+
+def test_class_subcollection_honours_codim(capsys):
+    base = run_json(capsys, "class", "--surface", "p2", "--curve", "7H",
+                    "--n", "12", "--subcollection", "13")
+    codim = run_json(capsys, "class", "--surface", "p2", "--curve", "7H",
+                     "--n", "12", "--subcollection", "13", "--codim", "2")
+    assert codim != base
+    assert codim == sv.result_to_json(sv.severi_class_subcollection(7, 12, 13, 2))
+    assert codim["checks"]["dimension_equation"]["rhs"] == "38"
+    assert sv.FLAG_EQ_SEV in codim["flags"] and sv.FLAG_EQ_SEV not in base["flags"]
 
 
 def test_class_h0_replaces_the_computed_count(capsys):
@@ -211,10 +225,15 @@ def test_cone_transport_fixture(capsys):
     ("cone", "transport", "--fixture", "no_such_fixture.json"),
     ("cone", "contains", "--rays", "B,Q", "--point", "B"),
     ("cone", "walls-restrict", "--fixture", "p2n3.json", "--subspace", "E"),
+    ("cone", "contains", "--rays", "B,7H-B", "--point", "1/0H"),
 ])
 def test_cone_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and err.startswith("hilbcone:")
+
+
+def _f1n3():
+    return json.loads((Path(sv.__file__).parent / "fixtures" / "f1n3.json").read_text())
 
 
 @pytest.mark.parametrize("field,index,message", [
@@ -222,7 +241,7 @@ def test_cone_usage_errors_exit_2(capsys, argv):
     ("bounding_cone", 1, "bounding cone ray 2 has 2 entries"),
 ], ids=["wall", "ray"])
 def test_fixture_with_short_vector_is_rejected(capsys, tmp_path, field, index, message):
-    raw = json.loads((Path(sv.__file__).parent / "fixtures" / "f1n3.json").read_text())
+    raw = _f1n3()
     if field == "walls":
         raw["walls"][index]["functional"] = [0, 1]
     else:
@@ -231,6 +250,24 @@ def test_fixture_with_short_vector_is_rejected(capsys, tmp_path, field, index, m
     bad.write_text(json.dumps(raw))
     code, out, err = run_cli(capsys, "cone", "walls-restrict", "--fixture", str(bad),
                              "--subspace", "H,B")
+    assert code == 2 and out == ""
+    assert err.startswith("hilbcone: " + message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ("plot",), ("cone", "walls-restrict", "--subspace", "H,B")], ids=["plot", "walls"])
+@pytest.mark.parametrize("mutate,message", [
+    (lambda raw: [raw], "a fixture must be a JSON object"),
+    (lambda raw: raw | {"n": "x"}, "fixture field 'n' must be a positive integer"),
+    (lambda raw: raw | {"n": 0}, "fixture field 'n' must be a positive integer"),
+    (lambda raw: raw | {"basis": "EFB"}, "fixture field 'basis' must be a list of strings"),
+    (lambda raw: raw | {"basis": ["E", 2, "B"]},
+     "fixture field 'basis' must be a list of strings"),
+], ids=["list", "n-string", "n-zero", "basis-string", "basis-entry"])
+def test_fixture_schema_errors_exit_2(capsys, tmp_path, command, mutate, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutate(_f1n3())))
+    code, out, err = run_cli(capsys, *command, "--fixture", str(bad))
     assert code == 2 and out == ""
     assert err.startswith("hilbcone: " + message) and err.count("\n") == 1
 
