@@ -1,10 +1,13 @@
-"""Small exact linear algebra over Fraction and Python ints.
+"""Small exact linear algebra over Python ints and Fraction.
 
-Row reduction, kernels, solving and congruence diagonalization use rational
-pivots.  Rank and determinant use fraction-free Bareiss elimination over
-Python ints instead (Bareiss 1968): every entry after a step is a minor of
-the input, so each division is exact and no Fraction is made.  Matrices are
-sequences of row sequences; sizes stay tiny (rank at most five or six).
+Rank, determinant, kernels and solving share one fraction-free Gauss-Jordan
+elimination over Python ints (Bareiss 1968), run on rows first scaled to
+primitive integer rows: every entry after a step is a minor of the input, so
+each division is exact and no Fraction is made until solve divides by a
+pivot.  Products and sums stay ints on int inputs and become exact Fractions
+on Fraction inputs; there are no floats.  Only congruence diagonalization
+(signature) pivots over Fraction.  Matrices are sequences of row sequences;
+sizes stay tiny (rank at most five or six).
 """
 
 from __future__ import annotations
@@ -13,45 +16,24 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def frac_rows(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+def exact(vec) -> tuple:
+    """The entries of vec as exact numbers: ints and Fractions pass through."""
+    return tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec)
 
 
-def rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = frac_rows(rows)
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(row, len(m)):
-            if m[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[row], m[sel] = m[sel], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    return m[:row], pivots
+def _bareiss(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
-
-def _bareiss(m: list[list[int]], ncols: int) -> tuple[int, int]:
-    """Fraction-free row echelon of integer rows, in place.
-
-    Returns the rank and the last pivot signed by the row swaps; for a
-    square matrix of full rank that is its determinant.
+    Each pivot clears its column above and below.  Afterwards every pivot
+    equals the last one, d, and the first len(pivots) rows are d times the
+    reduced row echelon form; the other rows are zero.  Returns the pivot
+    columns and d signed by the row swaps; for a square matrix of full rank
+    that is its determinant.
     """
-    r, prev, sign = 0, 1, 1
+    pivots: list[int] = []
+    prev, sign = 1, 1
     for c in range(ncols):
+        r = len(pivots)
         if r == len(m):
             break
         sel = next((i for i in range(r, len(m)) if m[i][c]), None)
@@ -62,19 +44,26 @@ def _bareiss(m: list[list[int]], ncols: int) -> tuple[int, int]:
             sign = -sign
         top = m[r]
         p = top[c]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], top)]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        pivots.append(c)
         prev = p
-        r += 1
-    return r, sign * prev
+    return pivots, sign * prev
+
+
+def _reduce(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """The nonzero rows as primitive integer rows, after _bareiss."""
+    if any(len(r) != ncols for r in rows):
+        raise ValueError(f"rows whose length is not {ncols}")
+    m = [list(primitive(r)) for r in rows if any(r)]
+    return m, _bareiss(m, ncols)[0]
 
 
 def rank(rows, ncols: int) -> int:
-    """Rank of rational rows, each scaled to a primitive integer row first."""
-    if any(len(r) != ncols for r in rows):
-        raise ValueError(f"rank of rows whose length is not {ncols}")
-    return _bareiss([list(primitive(r)) for r in rows if any(r)], ncols)[0]
+    """Rank of rational rows."""
+    return len(_reduce(rows, ncols)[1])
 
 
 def det(m) -> int:
@@ -82,22 +71,29 @@ def det(m) -> int:
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("determinant of a matrix that is not square")
-    r, d = _bareiss([list(row) for row in m], n)
-    return d if r == n else 0
+    pivots, d = _bareiss([list(row) for row in m], n)
+    return d if len(pivots) == n else 0
 
 
-def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : rows @ x = 0}, one vector per free column."""
-    red, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+def nullspace(rows, ncols: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Kernel basis of rows, and their pivot columns.
+
+    The basis of {x : rows @ x = 0} has one primitive integer vector per
+    free column, positive there and zero at the other free columns.  The
+    pivot columns are the greedy leftmost basis of the columns of rows;
+    their standard basis vectors complete the kernel.
+    """
+    m, pivots = _reduce(rows, ncols)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        basis.append(tuple(v))
-    return basis
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = m[0][pivots[0]] if pivots else 1
+        for row, p in zip(m, pivots):
+            v[p] = -row[f]
+        basis.append(primitive(v if v[f] > 0 else [-x for x in v]))
+    return basis, pivots
 
 
 def solve(rows, rhs) -> tuple[Fraction, ...] | None:
@@ -106,28 +102,29 @@ def solve(rows, rhs) -> tuple[Fraction, ...] | None:
     Free variables, if any, are set to zero.
     """
     n = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, n + 1)
+    if len(rhs) != len(rows):
+        raise ValueError("right-hand side does not match the rows")
+    m, pivots = _reduce([tuple(r) + (b,) for r, b in zip(rows, rhs)], n + 1)
     if n in pivots:
         return None
     x = [Fraction(0)] * n
-    for i, p in enumerate(pivots):
-        x[p] = red[i][n]
+    for row, p in zip(m, pivots):
+        x[p] = Fraction(row[n], row[p])
     return tuple(x)
 
 
-def mat_vec(rows, v) -> tuple[Fraction, ...]:
-    return tuple(sum(Fraction(a) * Fraction(b) for a, b in zip(row, v, strict=True))
-                 for row in rows)
+def mat_vec(rows, v) -> tuple:
+    return tuple(sum(a * b for a, b in zip(row, v, strict=True)) for row in rows)
 
 
-def dot(u, v) -> Fraction:
-    return sum(Fraction(a) * Fraction(b) for a, b in zip(u, v, strict=True))
+def dot(u, v):
+    """Exact dot product: an int on ints, a Fraction once a Fraction enters."""
+    return sum(a * b for a, b in zip(u, v, strict=True))
 
 
 def primitive(vec) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers, keeping its direction."""
-    fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
+    fr = exact(vec)
     mult = lcm(*(x.denominator for x in fr))
     ints = [x.numerator * mult // x.denominator for x in fr]
     g = gcd(*ints)
@@ -141,7 +138,7 @@ def signature(gram) -> tuple[int, int, int]:
 
     Exact congruence diagonalization; no eigenvalues involved.
     """
-    a = frac_rows(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
     n = len(a)
     pos = neg = zero = 0
     for i in range(n):

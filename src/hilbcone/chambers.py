@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,34 +37,25 @@ def dual_description(rows: list, dim: int) -> tuple[list[IntVec], list[IntVec]]:
     """Extreme rays and lineality of {x : r.x >= 0 for r in rows}.
 
     The lineality space is the kernel of the rows.  The pointed quotient is
-    taken in coordinates given by standard basis vectors completing that
-    kernel.  There the extreme rays come from the incremental double
-    description method over Python ints (_pointed_rays), which calls two rays
-    adjacent when the rows tight at both number at least ddim-2 and are not
-    all tight at any third ray.  Each ray is lifted back through those
-    coordinates, so it keeps its representative modulo the lineality space.
+    taken in the pivot columns of the rows' echelon form: their standard
+    basis vectors complete the kernel, and they are the leftmost coordinates
+    that do, so one elimination gives both.  There the extreme rays come from
+    the incremental double description method over Python ints
+    (_pointed_rays), which calls two rays adjacent when the rows tight at
+    both number at least ddim-2 and are not all tight at any third ray.
+    Each ray is lifted back through those coordinates, so it keeps its
+    representative modulo the lineality space.
     """
     if any(len(r) != dim for r in rows):
         raise ValueError(f"constraint rows must have {dim} entries")
     # positive scaling changes no half-space
     ints = list(dict.fromkeys(la.primitive(r) for r in rows if any(r)))
-    kernel = la.nullspace(ints, dim) if la.rank(ints, dim) < dim else []
+    kernel, comp = la.nullspace(ints, dim)
     # of p and -p, max() keeps the one whose first nonzero entry is positive
-    lineality = sorted(max(p, tuple(-x for x in p)) for p in map(la.primitive, kernel))
-    lindim = len(lineality)
-    ddim = dim - lindim
+    lineality = sorted(max(p, tuple(-x for x in p)) for p in kernel)
+    ddim = len(comp)
     if ddim == 0:
         return [], lineality
-
-    # complete the lineality space by standard basis vectors
-    comp: list[int] = []
-    span = list(lineality)
-    for i in range(dim):
-        e = tuple(1 if j == i else 0 for j in range(dim))
-        if la.rank(span + [e], dim) > len(span):
-            span.append(e)
-            comp.append(i)
-    assert len(comp) == ddim
 
     # a nonzero row stays nonzero on the complement, as it vanishes on the
     # lineality space; distinct primitive rows stay distinct for the same reason
@@ -111,7 +103,7 @@ def _pointed_rays(rows: list[IntVec], d: int) -> list[IntVec]:
     rays, zeros = [], []
     for i in seed:
         u = _cross([rows[k] for k in seed if k != i], d)
-        if _dot(rows[i], u) < 0:
+        if la.dot(rows[i], u) < 0:
             u = tuple(-x for x in u)
         rays.append(la.primitive(u))
         zeros.append(seeded & ~(1 << i))
@@ -120,7 +112,7 @@ def _pointed_rays(rows: list[IntVec], d: int) -> list[IntVec]:
         if seeded >> j & 1:
             continue
         bit = 1 << j
-        vals = [_dot(r, u) for u in rays]
+        vals = [la.dot(r, u) for u in rays]
         new_rays, new_zeros = [], []
         for p, vp in enumerate(vals):
             if vp <= 0:
@@ -142,11 +134,6 @@ def _pointed_rays(rows: list[IntVec], d: int) -> list[IntVec]:
     return rays
 
 
-def _dot(u: IntVec, v: IntVec) -> int:
-    """Integer dot product for the kernel; la.dot builds a Fraction per term."""
-    return sum(a * b for a, b in zip(u, v))
-
-
 @dataclass(frozen=True)
 class Cone:
     """A rational polyhedral cone with both generator and facet descriptions.
@@ -164,7 +151,7 @@ class Cone:
 
 
 def cone_from_generators(vectors, dim: int | None = None) -> Cone:
-    vecs = [tuple(Fraction(x) for x in v) for v in vectors]
+    vecs = [la.exact(v) for v in vectors]
     if dim is None:
         if not vecs:
             raise ValueError("cannot infer ambient dimension from no generators")
@@ -180,26 +167,26 @@ def cone_from_generators(vectors, dim: int | None = None) -> Cone:
                 tuple(facets), tuple(equations))
 
 
-def contains(C: Cone, v) -> bool:
-    v = tuple(Fraction(x) for x in v)
+def _member(C: Cone, v, side) -> bool:
+    v = la.exact(v)
     if len(v) != C.dim:
         raise ValueError("point dimension does not match the cone")
     return (all(la.dot(e, v) == 0 for e in C.equations)
-            and all(la.dot(f, v) >= 0 for f in C.facets))
+            and all(side(la.dot(f, v), 0) for f in C.facets))
+
+
+def contains(C: Cone, v) -> bool:
+    return _member(C, v, operator.ge)
 
 
 def contains_interior(C: Cone, v) -> bool:
     """Relative interior membership: equations tight, every facet strict."""
-    v = tuple(Fraction(x) for x in v)
-    if len(v) != C.dim:
-        raise ValueError("point dimension does not match the cone")
-    return (all(la.dot(e, v) == 0 for e in C.equations)
-            and all(la.dot(f, v) > 0 for f in C.facets))
+    return _member(C, v, operator.gt)
 
 
 def intersect_subspace(C: Cone, basis) -> Cone:
     """The cone {v in span(basis) : v in C}, written in basis coordinates."""
-    basis = [tuple(Fraction(x) for x in b) for b in basis]
+    basis = [la.exact(b) for b in basis]
     k = len(basis)
     if la.rank(basis, C.dim) != k:
         raise ValueError("subspace basis must be linearly independent")
@@ -224,6 +211,7 @@ class Wall:
     side_data: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "functional", la.exact(self.functional))
         if all(x == 0 for x in self.functional):
             raise ValueError("a wall needs a nonzero functional")
 
@@ -248,7 +236,7 @@ def restrict_walls(ws: WallSet, basis, labels=None) -> tuple[WallSet, list[Wall]
     subspace coordinates and deduplicated up to positive scaling.  The
     bounding cone is intersected with the subspace.
     """
-    basis = [tuple(Fraction(x) for x in b) for b in basis]
+    basis = [la.exact(b) for b in basis]
     k = len(basis)
     labels = tuple(labels) if labels else tuple(f"v{i+1}" for i in range(k))
     kept: list[Wall] = []
@@ -311,7 +299,7 @@ def transport_wallset_down(ws: WallSet) -> WallSet:
 
 def locate(ws: WallSet, v) -> tuple[int, ...]:
     """Sign vector of the wall functionals at a class inside the bounding cone."""
-    v = tuple(Fraction(x) for x in v)
+    v = la.exact(v)
     if not contains(ws.bounding_cone, v):
         raise ValueError("class lies outside the bounding cone")
     out = []
@@ -359,27 +347,39 @@ def load_fixture(name: str) -> Fixture:
     if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
         raise ValueError("fixture field 'basis' must be a list of strings")
     dim = len(basis)
-    for i, ray in enumerate(raw["bounding_cone"], 1):
+    rays, walls, labels = raw.get("bounding_cone"), raw.get("walls"), raw.get("labels", [])
+    if not isinstance(rays, list) or not all(isinstance(r, list) for r in rays):
+        raise ValueError("fixture field 'bounding_cone' must be a list of rays")
+    for key, value in (("walls", walls), ("labels", labels)):
+        if not isinstance(value, list) or not all(isinstance(x, dict) for x in value):
+            raise ValueError(f"fixture field {key!r} must be a list of objects")
+    surface = raw.get("surface", {})
+    if not isinstance(surface, dict):
+        raise ValueError("fixture field 'surface' must be an object")
+    r = surface.get("r")
+    if r is not None and type(r) is not int:
+        raise ValueError(f"fixture field 'surface.r' must be an integer, not {r!r}")
+    for i, ray in enumerate(rays, 1):
         if len(ray) != dim:
             raise ValueError(f"bounding cone ray {i} has {len(ray)} entries, "
                              f"the basis has {dim}")
-    for w in raw["walls"]:
-        if len(w["functional"]) != dim:
+    for w in walls:
+        f = w.get("functional")
+        if not isinstance(f, list):
+            raise ValueError(f"wall {w.get('label', '')!r} has no functional")
+        if len(f) != dim:
             raise ValueError(f"wall {w.get('label', '')!r} has a functional with "
-                             f"{len(w['functional'])} entries, the basis has {dim}")
-    surface = raw.get("surface", {})
+                             f"{len(f)} entries, the basis has {dim}")
     ws = WallSet(
         basis_labels=tuple(basis),
         n=n,
-        bounding_cone=cone_from_generators(raw["bounding_cone"]),
-        walls=tuple(
-            Wall(tuple(w["functional"]), w.get("label", ""), w.get("cite", ""))
-            for w in raw["walls"]
-        ),
+        bounding_cone=cone_from_generators(rays),
+        walls=tuple(Wall(tuple(w["functional"]), w.get("label", ""), w.get("cite", ""))
+                    for w in walls),
         surface_kind=surface.get("kind", ""),
-        surface_r=surface.get("r"),
+        surface_r=r,
     )
-    marks = tuple((tuple(m["class"]), m["label"]) for m in raw.get("labels", []))
+    marks = tuple((tuple(m["class"]), m["label"]) for m in labels)
     return Fixture(ws, marks, raw)
 
 
@@ -565,9 +565,10 @@ def cross_section_svg(ws: WallSet, marks=(), section=None) -> str:
     the affine plane sum(coords) = 1 unless a section covector is given.
     """
     dim = ws.bounding_cone.dim
+    marks = tuple((la.exact(v), text) for v, text in marks)
     if dim == 2:
-        return _render_rank2(ws, tuple(marks))
+        return _render_rank2(ws, marks)
     if dim == 3:
         section = tuple(Fraction(x) for x in (section or (1, 1, 1)))
-        return _render_rank3(ws, tuple(marks), section)
+        return _render_rank3(ws, marks, section)
     raise ValueError("rendering supports rank 2 and 3 only")

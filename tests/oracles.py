@@ -8,8 +8,57 @@ from hilbcone import _linalg as la
 from hilbcone.chambers import Cone
 
 
-def _rank(rows, ncols: int) -> int:
-    return len(la.rref(rows, ncols)[1])
+def rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Fraction; returns (rows, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    row = 0
+    for col in range(ncols):
+        sel = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
+        if sel is None:
+            continue
+        m[row], m[sel] = m[sel], m[row]
+        pv = m[row][col]
+        m[row] = [x / pv for x in m[row]]
+        for i in range(len(m)):
+            if i != row and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(m):
+            break
+    return m[:row], pivots
+
+
+def rank(rows, ncols: int) -> int:
+    return len(rref(rows, ncols)[1])
+
+
+def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
+    """Basis of {x : rows @ x = 0}, one vector per free column, which is 1 there."""
+    red, pivots = rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def solve(rows, rhs, ncols: int) -> tuple[Fraction, ...] | None:
+    """The solution of rows @ x = rhs with free variables zero, or None."""
+    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs, strict=True)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, p in enumerate(pivots):
+        x[p] = red[i][ncols]
+    return tuple(x)
 
 
 def dual_description_subsets(rows: list, dim: int):
@@ -20,11 +69,12 @@ def dual_description_subsets(rows: list, dim: int):
     quotient is taken in coordinates given by standard basis vectors
     completing that kernel, and there every extreme ray is the kernel of
     some subset of ddim-1 constraints of rank ddim-1, so enumerating those
-    subsets with Fraction row reduction is complete.
+    subsets with Fraction row reduction is complete.  All elimination here
+    is the Fraction rref above, so none of it is shared with the library.
     """
     rows = [tuple(Fraction(x) for x in r) for r in rows]
     lineality = sorted(max(p, tuple(-x for x in p))
-                       for p in map(la.primitive, la.nullspace(rows, dim)))
+                       for p in map(la.primitive, nullspace(rows, dim)))
     lindim = len(lineality)
     ddim = dim - lindim
     if ddim == 0:
@@ -34,7 +84,7 @@ def dual_description_subsets(rows: list, dim: int):
     span = [tuple(Fraction(x) for x in v) for v in lineality]
     for i in range(dim):
         e = tuple(Fraction(1 if j == i else 0) for j in range(dim))
-        if _rank(span + comp + [e], dim) > lindim + len(comp):
+        if rank(span + comp + [e], dim) > lindim + len(comp):
             comp.append(e)
     assert len(comp) == ddim
 
@@ -42,9 +92,9 @@ def dual_description_subsets(rows: list, dim: int):
     rays = set()
     for subset in itertools.combinations(range(len(reduced)), ddim - 1):
         sub = [reduced[i] for i in subset]
-        if _rank(sub, ddim) != ddim - 1:
+        if rank(sub, ddim) != ddim - 1:
             continue
-        kernel = la.nullspace(sub, ddim)
+        kernel = nullspace(sub, ddim)
         if len(kernel) != 1:
             continue
         u = kernel[0]

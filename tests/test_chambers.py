@@ -242,6 +242,18 @@ def test_dual_description_matches_subset_enumeration():
             rows, dim)
 
 
+def test_entry_points_take_rational_strings_and_floats():
+    C = ch.cone_from_generators([("1/2", 0), (0, 0.5)])
+    assert C == ch.cone_from_generators([(1, 0), (0, 1)])
+    assert ch.contains(C, ("1/3", 0.25)) and not ch.contains_interior(C, ("1/3", 0))
+    w = ch.Wall(("-1/2", 0.5))
+    assert w.functional == (Fraction(-1, 2), Fraction(1, 2))
+    ws = ch.WallSet(("x", "y"), 1, C, (w,))
+    assert ch.locate(ws, ("1/2", 1)) == (1,)
+    restricted, dropped = ch.restrict_walls(ws, [(1, "2")])
+    assert [v.functional for v in restricted.walls] == [(1,)] and dropped == []
+
+
 def test_dual_description_rejects_rows_of_the_wrong_length():
     with pytest.raises(ValueError):
         ch.dual_description([(1, 0), (0, 1, 0)], 2)

@@ -254,8 +254,14 @@ def test_fixture_with_short_vector_is_rejected(capsys, tmp_path, field, index, m
     assert err.startswith("hilbcone: " + message) and err.count("\n") == 1
 
 
+def _drop_functional(raw):
+    del raw["walls"][1]["functional"]
+    return raw
+
+
 @pytest.mark.parametrize("command", [
-    ("plot",), ("cone", "walls-restrict", "--subspace", "H,B")], ids=["plot", "walls"])
+    ("plot",), ("cone", "walls-restrict", "--subspace", "H,B"), ("cone", "transport")],
+    ids=["plot", "walls", "transport"])
 @pytest.mark.parametrize("mutate,message", [
     (lambda raw: [raw], "a fixture must be a JSON object"),
     (lambda raw: raw | {"n": "x"}, "fixture field 'n' must be a positive integer"),
@@ -263,7 +269,17 @@ def test_fixture_with_short_vector_is_rejected(capsys, tmp_path, field, index, m
     (lambda raw: raw | {"basis": "EFB"}, "fixture field 'basis' must be a list of strings"),
     (lambda raw: raw | {"basis": ["E", 2, "B"]},
      "fixture field 'basis' must be a list of strings"),
-], ids=["list", "n-string", "n-zero", "basis-string", "basis-entry"])
+    (lambda raw: raw | {"walls": 5}, "fixture field 'walls' must be a list of objects"),
+    (lambda raw: raw | {"walls": [[0, 0, 1]]}, "fixture field 'walls' must be a list of objects"),
+    (lambda raw: raw | {"labels": 5}, "fixture field 'labels' must be a list of objects"),
+    (lambda raw: raw | {"surface": 5}, "fixture field 'surface' must be an object"),
+    (lambda raw: raw | {"surface": {"kind": "hirzebruch", "r": "x"}},
+     "fixture field 'surface.r' must be an integer"),
+    (lambda raw: {k: v for k, v in raw.items() if k != "bounding_cone"},
+     "fixture field 'bounding_cone' must be a list of rays"),
+    (_drop_functional, "wall 'EF' has no functional"),
+], ids=["list", "n-string", "n-zero", "basis-string", "basis-entry", "walls-int",
+        "walls-entry", "labels-int", "surface-int", "r-string", "no-cone", "no-functional"])
 def test_fixture_schema_errors_exit_2(capsys, tmp_path, command, mutate, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(mutate(_f1n3())))

@@ -9,6 +9,9 @@ import pytest
 
 from hilbcone import _linalg as la
 from hilbcone import nslattice as ns
+from oracles import rref
+from oracles import nullspace as rref_nullspace
+from oracles import solve as rref_solve
 
 
 def F1():
@@ -273,7 +276,7 @@ def test_integer_rank_and_det_match_rational_elimination():
             rows.append([2 * a - b for a, b in zip(rows[0], rows[1])])
         if rng.random() < 0.2:
             rows.append([0] * ncols)
-        assert la.rank(rows, ncols) == len(la.rref(rows, ncols)[1])
+        assert la.rank(rows, ncols) == len(rref(rows, ncols)[1])
         n = rng.randint(0, 4)
         m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         if n >= 2 and rng.random() < 0.3:
@@ -290,6 +293,57 @@ def test_rank_and_det_reject_mismatched_shapes():
         la.rank([(1, 2), (1, 2, 3)], 2)
     with pytest.raises(ValueError):
         la.det([(1, 2), (3, 4), (5, 6)])
+    with pytest.raises(ValueError):
+        la.solve([[1, 0], [0, 1]], (1,))
+    with pytest.raises(ValueError):
+        la.solve([[1, 0], [0, 1, 5]], (1, 2))
+    with pytest.raises(ValueError):
+        la.nullspace([(1, 2, 3)], 2)
+
+
+def _random_system(rng):
+    """Rows with Fraction entries, zero rows, dependent rows and a zero top-left
+    entry (so elimination must swap rows), with a consistent or perturbed rhs."""
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        return rng.randint(-5, 5)
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if rng.random() < 0.5:
+        rows[0][0] = 0
+    if nrows >= 2 and rng.random() < 0.4:
+        rows[-1] = [a - 3 * b for a, b in zip(rows[0], rows[1])]
+    if rng.random() < 0.2:
+        rows[rng.randrange(nrows)] = [0] * ncols
+    x0 = [entry() for _ in range(ncols)]
+    rhs = [sum(a * b for a, b in zip(r, x0)) for r in rows]
+    if rng.random() < 0.4:
+        rhs[rng.randrange(nrows)] += rng.choice((1, Fraction(1, 2)))
+    return rows, rhs, ncols
+
+
+def test_nullspace_and_solve_match_rational_elimination():
+    rng = random.Random(1997)
+    swapped = inconsistent = 0
+    for _ in range(600):
+        rows, rhs, ncols = _random_system(rng)
+        basis, pivots = la.nullspace(rows, ncols)
+        assert pivots == rref(rows, ncols)[1]
+        assert basis == [la.primitive(v) for v in rref_nullspace(rows, ncols)]
+        assert all(la.dot(r, v) == 0 for r in rows for v in basis)
+        want = rref_solve(rows, rhs, ncols)
+        got = la.solve(rows, rhs)
+        assert got == want, (rows, rhs)
+        if want is None:
+            inconsistent += 1
+        else:
+            assert all(isinstance(x, Fraction) for x in got)
+            assert [la.dot(r, got) for r in rows] == rhs
+        swapped += rows[0][0] == 0 and any(r[0] for r in rows)
+    assert swapped > 100 and inconsistent > 100
 
 
 def test_signature_helper():
