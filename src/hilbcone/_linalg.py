@@ -1,13 +1,14 @@
 """Small exact linear algebra over Python ints and Fraction.
 
-Rank, determinant, kernels and solving share one fraction-free Gauss-Jordan
-elimination over Python ints (Bareiss 1968), run on rows first scaled to
-primitive integer rows: every entry after a step is a minor of the input, so
-each division is exact and no Fraction is made until solve divides by a
-pivot.  Products and sums stay ints on int inputs and become exact Fractions
-on Fraction inputs; there are no floats.  Only congruence diagonalization
-(signature) pivots over Fraction.  Matrices are sequences of row sequences;
-sizes stay tiny (rank at most five or six).
+Rank, kernels and solving share one fraction-free Gauss-Jordan elimination
+over Python ints (Bareiss 1968), run on rows first scaled to primitive
+integer rows: every entry after a step is a minor of the input, so each
+division is exact and no Fraction is made until solve divides by a pivot.
+The elimination yields pivot columns only; no determinant is kept.  Products
+and sums stay ints on int inputs and become exact Fractions on Fraction
+inputs; there are no floats.  Only congruence diagonalization (signature)
+pivots over Fraction.  Matrices are sequences of row sequences; sizes stay
+tiny (rank at most five or six).
 """
 
 from __future__ import annotations
@@ -17,21 +18,26 @@ from math import gcd, lcm
 
 
 def exact(vec) -> tuple:
-    """The entries of vec as exact numbers: ints and Fractions pass through."""
-    return tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec)
+    """The entries of vec as exact numbers: ints and Fractions pass through.
+
+    Anything Fraction cannot read exactly (None, inf, nan) is a ValueError.
+    """
+    try:
+        return tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{vec!r} is not a vector of finite numbers") from None
 
 
-def _bareiss(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
+def _bareiss(m: list[list[int]], ncols: int) -> list[int]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
     Each pivot clears its column above and below.  Afterwards every pivot
     equals the last one, d, and the first len(pivots) rows are d times the
     reduced row echelon form; the other rows are zero.  Returns the pivot
-    columns and d signed by the row swaps; for a square matrix of full rank
-    that is its determinant.
+    columns.
     """
     pivots: list[int] = []
-    prev, sign = 1, 1
+    prev = 1
     for c in range(ncols):
         r = len(pivots)
         if r == len(m):
@@ -39,9 +45,7 @@ def _bareiss(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
         sel = next((i for i in range(r, len(m)) if m[i][c]), None)
         if sel is None:
             continue
-        if sel != r:
-            m[r], m[sel] = m[sel], m[r]
-            sign = -sign
+        m[r], m[sel] = m[sel], m[r]
         top = m[r]
         p = top[c]
         for i, row in enumerate(m):
@@ -50,7 +54,7 @@ def _bareiss(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
                 m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
         pivots.append(c)
         prev = p
-    return pivots, sign * prev
+    return pivots
 
 
 def _reduce(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -58,21 +62,12 @@ def _reduce(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
     if any(len(r) != ncols for r in rows):
         raise ValueError(f"rows whose length is not {ncols}")
     m = [list(primitive(r)) for r in rows if any(r)]
-    return m, _bareiss(m, ncols)[0]
+    return m, _bareiss(m, ncols)
 
 
 def rank(rows, ncols: int) -> int:
     """Rank of rational rows."""
     return len(_reduce(rows, ncols)[1])
-
-
-def det(m) -> int:
-    """Determinant of a square integer matrix; 1 for the empty one."""
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("determinant of a matrix that is not square")
-    pivots, d = _bareiss([list(row) for row in m], n)
-    return d if len(pivots) == n else 0
 
 
 def nullspace(rows, ncols: int) -> tuple[list[tuple[int, ...]], list[int]]:

@@ -69,43 +69,28 @@ def dual_description(rows: list, dim: int) -> tuple[list[IntVec], list[IntVec]]:
     return sorted(rays), lineality
 
 
-def _cross(vectors: list[IntVec], d: int) -> IntVec:
-    """Generalised cross product of d-1 integer vectors in Z^d.
-
-    Entry j is (-1)^j times the minor without column j, so the result is
-    orthogonal to every vector and nonzero exactly when they are independent.
-    """
-    return tuple((-1) ** j * la.det([v[:j] + v[j + 1:] for v in vectors])
-                 for j in range(d))
-
-
 def _pointed_rays(rows: list[IntVec], d: int) -> list[IntVec]:
     """Extreme rays of the pointed cone {x in Q^d : r.x >= 0 for r in rows}.
 
     rows are distinct primitive integer rows of rank d.  This is the
     incremental double description method (Motzkin et al. 1953) with the
     combinatorial adjacency test of Fukuda and Prodon (1996, "Double
-    description method revisited").  It starts from d independent rows,
-    whose cone is simplicial: its rays are signed cross products.  Each
-    further row splits the rays by sign; a ray it makes negative is dropped,
-    and every adjacent pair of a positive and a negative ray gives a new ray
-    on the row's hyperplane.  A ray's zero set is the bitmask of rows it
-    makes tight.  Two rays are adjacent when their common zero set has at
-    least d-2 members and lies in no other ray's zero set.
+    description method revisited").  It starts from the d leftmost
+    independent rows, the pivot columns of the transposed rows, whose cone is
+    simplicial: each of its rays spans the kernel of the other d-1 seed rows
+    and is signed to be positive on the one left out.  Each further row
+    splits the rays by sign; a ray it makes negative is dropped, and every
+    adjacent pair of a positive and a negative ray gives a new ray on the
+    row's hyperplane.  A ray's zero set is the bitmask of rows it makes
+    tight.  Two rays are adjacent when their common zero set has at least d-2
+    members and lies in no other ray's zero set.
     """
-    seed: list[int] = []
-    for j, r in enumerate(rows):
-        if la.rank([rows[i] for i in seed] + [r], d) > len(seed):
-            seed.append(j)
-            if len(seed) == d:
-                break
+    seed = la.nullspace(list(zip(*rows)), len(rows))[1]
     seeded = sum(1 << i for i in seed)
     rays, zeros = [], []
     for i in seed:
-        u = _cross([rows[k] for k in seed if k != i], d)
-        if la.dot(rows[i], u) < 0:
-            u = tuple(-x for x in u)
-        rays.append(la.primitive(u))
+        u = la.nullspace([rows[k] for k in seed if k != i], d)[0][0]
+        rays.append(u if la.dot(rows[i], u) > 0 else tuple(-x for x in u))
         zeros.append(seeded & ~(1 << i))
 
     for j, r in enumerate(rows):
@@ -150,6 +135,12 @@ class Cone:
     equations: tuple[IntVec, ...]
 
 
+def generators(C: Cone) -> list[IntVec]:
+    """Vectors whose nonnegative combinations are C: rays and both senses of
+    the lineality basis."""
+    return [*C.rays, *C.lineality, *(tuple(-x for x in l) for l in C.lineality)]
+
+
 def cone_from_generators(vectors, dim: int | None = None) -> Cone:
     vecs = [la.exact(v) for v in vectors]
     if dim is None:
@@ -185,7 +176,12 @@ def contains_interior(C: Cone, v) -> bool:
 
 
 def intersect_subspace(C: Cone, basis) -> Cone:
-    """The cone {v in span(basis) : v in C}, written in basis coordinates."""
+    """The cone {v in span(basis) : v in C}, written in basis coordinates.
+
+    One dual pair: the restricted facets and equations give the rays and
+    lineality, whose dual gives the facets and equations.  Those rays are
+    canonical, as the lineality space fixes their pivot coordinates.
+    """
     basis = [la.exact(b) for b in basis]
     k = len(basis)
     if la.rank(basis, C.dim) != k:
@@ -194,12 +190,13 @@ def intersect_subspace(C: Cone, basis) -> Cone:
     eq = [tuple(la.dot(e, b) for b in basis) for e in C.equations]
     rows = ineq + eq + [tuple(-x for x in r) for r in eq]
     rays, lineality = dual_description(rows, k)
-    gens = list(rays) + list(lineality) + [tuple(-x for x in l) for l in lineality]
+    gens = rays + lineality + [tuple(-x for x in l) for l in lineality]
     if not gens:
         # the zero cone; keep facet data consistent by using the equations x=0
         zero_eqs = tuple(tuple(1 if j == i else 0 for j in range(k)) for i in range(k))
         return Cone(k, (), (), (), zero_eqs)
-    return cone_from_generators(gens, k)
+    facets, equations = dual_description(gens, k)
+    return Cone(k, tuple(rays), tuple(lineality), tuple(facets), tuple(equations))
 
 
 @dataclass(frozen=True)
@@ -269,6 +266,8 @@ def transport_wallset_down(ws: WallSet) -> WallSet:
         raise ValueError("wall transport needs a Hirzebruch wall set")
     if ws.surface_r < 1:
         raise ValueError("no Hirzebruch surface below F_0")
+    if ws.basis_labels != ("E", "F", "B"):
+        raise ValueError("wall transport needs the basis E, F, B")
     r = ws.surface_r - 1
     fr = ns.make_hirzebruch(r)
     n = ws.n
@@ -288,12 +287,12 @@ def transport_wallset_down(ws: WallSet) -> WallSet:
              "transported hyperplane; wall-hood not verified")
         for w in ws.walls
     )
-    down_rays = []
-    for ray in ws.bounding_cone.rays:
+    down = []
+    for g in generators(ws.bounding_cone):
         d = hp.transport_down(hp.hilb_class(ns.make_hirzebruch(ws.surface_r),
-                                            ray[:2], ray[2], n))
-        down_rays.append(tuple(d.surface_part.coeffs) + (d.b_coeff,))
-    bc = cone_from_generators(down_rays, 3) if down_rays else ws.bounding_cone
+                                            g[:2], g[2], n))
+        down.append(tuple(d.surface_part.coeffs) + (d.b_coeff,))
+    bc = cone_from_generators(down, 3) if down else ws.bounding_cone
     return WallSet(ws.basis_labels, n, bc, walls, "hirzebruch", r)
 
 
@@ -370,6 +369,11 @@ def load_fixture(name: str) -> Fixture:
         if len(f) != dim:
             raise ValueError(f"wall {w.get('label', '')!r} has a functional with "
                              f"{len(f)} entries, the basis has {dim}")
+    for i, m in enumerate(labels, 1):
+        c = m.get("class")
+        if not isinstance(c, list) or len(c) != dim or not isinstance(m.get("label"), str):
+            raise ValueError(f"fixture label {i} needs a 'class' list of {dim} entries, "
+                             f"the basis length, and a 'label' string")
     ws = WallSet(
         basis_labels=tuple(basis),
         n=n,
@@ -388,7 +392,7 @@ def wallset_to_json(ws: WallSet) -> dict:
         "surface": {"kind": ws.surface_kind},
         "basis": list(ws.basis_labels),
         "n": ws.n,
-        "bounding_cone": [list(r) for r in ws.bounding_cone.rays],
+        "bounding_cone": [list(g) for g in generators(ws.bounding_cone)],
         "walls": [
             {"functional": list(w.functional), "label": w.label, "cite": w.side_data}
             for w in ws.walls

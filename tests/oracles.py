@@ -110,6 +110,32 @@ def dual_description_subsets(rows: list, dim: int):
     return sorted(rays), lineality
 
 
+def restrict_cone(C: Cone, basis) -> Cone:
+    """C intersected with span(basis), in basis coordinates, by brute force.
+
+    The reference for chambers.intersect_subspace.  It takes the long way,
+    all through dual_description_subsets: the restricted constraints give
+    generators, the generators give facets and equations, and those give the
+    generators once more, so the rays are canonical by construction.  The
+    zero cone is cut out by the coordinate equations.
+    """
+    k = len(basis)
+
+    def neg(v):
+        return tuple(-x for x in v)
+
+    eqs = [tuple(la.dot(e, b) for b in basis) for e in C.equations]
+    rows = [tuple(la.dot(f, b) for b in basis) for f in C.facets] + eqs + [neg(e) for e in eqs]
+    rays, lineality = dual_description_subsets(rows, k)
+    gens = rays + lineality + [neg(l) for l in lineality]
+    if not gens:
+        return Cone(k, (), (), (), tuple(tuple(int(i == j) for j in range(k)) for i in range(k)))
+    facets, equations = dual_description_subsets(gens, k)
+    rays, lineality = dual_description_subsets(
+        facets + equations + [neg(e) for e in equations], k)
+    return Cone(k, tuple(rays), tuple(lineality), tuple(facets), tuple(equations))
+
+
 def fm_member(C: Cone, v) -> bool:
     """Membership test that never looks at facets.
 

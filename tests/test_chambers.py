@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hilbcone import chambers as ch
 from hilbcone import hilbpic as hp
 from hilbcone import nslattice as ns
-from oracles import dual_description_subsets, fm_member
+from oracles import dual_description_subsets, fm_member, rank, restrict_cone
 
 
 def test_quadrant_facets():
@@ -78,6 +79,9 @@ def test_intersect_can_be_zero():
     assert D.rays == () and D.lineality == ()
     assert ch.contains(D, (0,))
     assert not ch.contains(D, (1,))
+    C = ch.cone_from_generators([(1, 0, 0, 0)])
+    D = ch.intersect_subspace(C, [(0, 1, 0, 0), (0, 0, 1, 0), (-1, 0, 0, 1)])
+    assert D == ch.Cone(3, (), (), (), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def test_fixture_lookup_order(tmp_path, monkeypatch):
@@ -173,6 +177,15 @@ def test_transport_down_preserves_pairings():
             assert lhs == rhs
 
 
+def test_transport_down_keeps_the_lineality():
+    f1 = ch.load_fixture("f1n3.json").wallset
+    slab = ch.cone_from_generators([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    down = ch.transport_wallset_down(dataclasses.replace(f1, bounding_cone=slab))
+    assert down.bounding_cone.lineality == ((1, 0, 0),)
+    assert down.bounding_cone.rays == ((0, 0, 1), (0, 1, 0))
+    assert ch.generators(down.bounding_cone) == [(0, 0, 1), (0, 1, 0), (1, 0, 0), (-1, 0, 0)]
+
+
 def test_transport_down_stops_at_f0():
     f1 = ch.load_fixture("f1n3.json").wallset
     down = ch.transport_wallset_down(f1)
@@ -181,6 +194,9 @@ def test_transport_down_stops_at_f0():
     p2 = ch.load_fixture("p2n3.json").wallset
     with pytest.raises(ValueError):
         ch.transport_wallset_down(p2)
+    with pytest.raises(ValueError, match="basis E, F, B"):
+        ch.transport_wallset_down(dataclasses.replace(p2, surface_kind="hirzebruch",
+                                                      surface_r=1))
 
 
 def _random_cone(rng):
@@ -198,9 +214,7 @@ def test_random_cones_roundtrip_and_membership_oracle():
     rng = random.Random(20260816)
     for _ in range(100):
         C, gens, dim = _random_cone(rng)
-        regen = list(C.rays) + list(C.lineality) + [
-            tuple(-x for x in l) for l in C.lineality]
-        assert ch.cone_from_generators(regen, dim) == C
+        assert ch.cone_from_generators(ch.generators(C), dim) == C
         for g in gens:
             assert ch.contains(C, g)
             assert fm_member(C, g)
@@ -240,6 +254,46 @@ def test_dual_description_matches_subset_enumeration():
         rows, dim = _random_rows(rng)
         assert ch.dual_description(rows, dim) == dual_description_subsets(rows, dim), (
             rows, dim)
+
+
+def test_intersect_subspace_matches_oracle_restriction():
+    rng = random.Random(20180314)
+    seen = {"lineality": 0, "zero": 0, "fraction": 0}
+    for _ in range(120):
+        dim = rng.randint(1, 5)
+        gens, ngens = [], rng.randint(1, dim + 2)
+        while len(gens) < ngens:
+            v = tuple(rng.randint(-3, 3) for _ in range(dim))
+            if any(v):
+                gens.append(v)
+        if rng.random() < 0.3:
+            gens.append(tuple(-x for x in gens[0]))
+        C = ch.cone_from_generators(gens, dim)
+        k = rng.randint(1, dim)
+        basis = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.3
+                       else rng.randint(-2, 2) for _ in range(dim)) for _ in range(k)]
+        if rng.random() < 0.4:
+            # the opposite of a generator, so that zero intersections occur
+            basis[0] = tuple(-x for x in gens[-1])
+        if rank(basis, dim) != k:
+            continue
+        D = ch.intersect_subspace(C, basis)
+        assert D == restrict_cone(C, basis), (gens, basis)
+        seen["lineality"] += bool(D.lineality)
+        seen["zero"] += not D.rays and not D.lineality
+        seen["fraction"] += any(type(x) is Fraction for b in basis for x in b)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_intersect_subspace_is_one_dual_pair(monkeypatch):
+    calls = []
+    kernel = ch.dual_description
+    monkeypatch.setattr(ch, "dual_description",
+                        lambda rows, dim: calls.append(dim) or kernel(rows, dim))
+    C = ch.cone_from_generators([(0, 0, 1), (1, 0, 0), (0, 4, -1), (2, 2, -1)])
+    calls.clear()
+    D = ch.intersect_subspace(C, [(1, 1, 0), (0, 0, 1)])
+    assert D.rays == ((0, 1), (2, -1)) and calls == [2, 2]
 
 
 def test_entry_points_take_rational_strings_and_floats():

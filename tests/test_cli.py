@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hilbcone import cli, severi as sv
+from hilbcone import chambers as ch, cli, severi as sv
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -218,6 +218,16 @@ def test_cone_transport_fixture(capsys):
     assert all("not verified" in w["cite"] for w in payload["walls"])
 
 
+def test_cone_transport_prints_the_lineality(capsys, tmp_path):
+    raw = _f1n3() | {"bounding_cone": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    (tmp_path / "slab.json").write_text(json.dumps(raw))
+    payload = run_json(capsys, "cone", "transport", "--fixture", str(tmp_path / "slab.json"))
+    assert payload["bounding_cone"] == [[0, 0, 1], [0, 1, 0], [1, 0, 0], [-1, 0, 0]]
+    (tmp_path / "down.json").write_text(json.dumps(payload))
+    assert ch.load_fixture(str(tmp_path / "down.json")).wallset.bounding_cone.lineality == (
+        (1, 0, 0),)
+
+
 @pytest.mark.parametrize("argv", [
     ("cone", "contains", "--rays", "B,7H-B"),
     ("cone", "restrict", "--rays", "E,F"),
@@ -254,6 +264,10 @@ def test_fixture_with_short_vector_is_rejected(capsys, tmp_path, field, index, m
     assert err.startswith("hilbcone: " + message) and err.count("\n") == 1
 
 
+_LABEL_MESSAGE = ("fixture label 1 needs a 'class' list of 3 entries, the basis length, "
+                  "and a 'label' string")
+
+
 def _drop_functional(raw):
     del raw["walls"][1]["functional"]
     return raw
@@ -278,8 +292,14 @@ def _drop_functional(raw):
     (lambda raw: {k: v for k, v in raw.items() if k != "bounding_cone"},
      "fixture field 'bounding_cone' must be a list of rays"),
     (_drop_functional, "wall 'EF' has no functional"),
+    (lambda raw: raw | {"bounding_cone": [[float("inf"), 0, 1]]},
+     "[inf, 0, 1] is not a vector of finite numbers"),
+    (lambda raw: raw | {"labels": [{"label": "B"}]}, _LABEL_MESSAGE),
+    (lambda raw: raw | {"labels": [{"class": [1, 0, 0]}]}, _LABEL_MESSAGE),
+    (lambda raw: raw | {"labels": [{"class": [1], "label": "B"}]}, _LABEL_MESSAGE),
 ], ids=["list", "n-string", "n-zero", "basis-string", "basis-entry", "walls-int",
-        "walls-entry", "labels-int", "surface-int", "r-string", "no-cone", "no-functional"])
+        "walls-entry", "labels-int", "surface-int", "r-string", "no-cone", "no-functional",
+        "ray-inf", "label-no-class", "label-no-label", "label-short-class"])
 def test_fixture_schema_errors_exit_2(capsys, tmp_path, command, mutate, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(mutate(_f1n3())))
