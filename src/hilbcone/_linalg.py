@@ -1,14 +1,14 @@
-"""Small exact linear algebra over Python ints and Fraction.
+"""Small exact linear algebra: ints and Fractions, elimination over ints.
 
 Rank, kernels and solving share one fraction-free Gauss-Jordan elimination
 over Python ints (Bareiss 1968), run on rows first scaled to primitive
 integer rows: every entry after a step is a minor of the input, so each
 division is exact and no Fraction is made until solve divides by a pivot.
-The elimination yields pivot columns only; no determinant is kept.  Products
-and sums stay ints on int inputs and become exact Fractions on Fraction
-inputs; there are no floats.  Only congruence diagonalization (signature)
-pivots over Fraction.  Matrices are sequences of row sequences; sizes stay
-tiny (rank at most five or six).
+The elimination yields pivot columns only; no determinant is kept.
+Congruence diagonalization (signature) is the symmetric form of the same
+step.  Products and sums stay ints on int inputs and become exact Fractions
+on Fraction inputs; there are no floats.  Matrices are sequences of row
+sequences; sizes stay tiny (rank at most five or six).
 """
 
 from __future__ import annotations
@@ -129,40 +129,44 @@ def primitive(vec) -> tuple[int, ...]:
 
 
 def signature(gram) -> tuple[int, int, int]:
-    """Inertia (positive, negative, zero) of a symmetric matrix.
+    """Inertia (positive, negative, zero) of a symmetric integer matrix.
 
-    Exact congruence diagonalization; no eigenvalues involved.
+    Symmetric fraction-free elimination over ints: after a pivot p the
+    trailing block becomes |p|/prev times its Schur complement, prev being
+    the size of the pivot before (1 at first).  Up to sign the entries are
+    those of _bareiss, so every division is exact, and as the factor is
+    positive each pivot counts with its own sign (Sylvester's law of
+    inertia).  A zero diagonal first takes a nonzero diagonal entry, or else
+    adds the row and column of a nonzero entry a[0][k], which makes the pivot
+    2*a[0][k]; a zero row counts as zero.
     """
-    a = [[Fraction(x) for x in row] for row in gram]
-    n = len(a)
+    a = [list(row) for row in gram]
     pos = neg = zero = 0
-    for i in range(n):
-        if a[i][i] == 0:
-            swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
-            if swap is not None:
-                a[i], a[swap] = a[swap], a[i]
-                for row in a:
-                    row[i], row[swap] = row[swap], row[i]
-            else:
-                off = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-                if off is None:
-                    zero += 1
-                    continue
-                # a[off][off] = 0 too, so adding row/col off makes the pivot 2*a[i][off]
-                for k in range(n):
-                    a[i][k] += a[off][k]
-                for row in a:
-                    row[i] += row[off]
-        p = a[i][i]
+    prev = 1
+    while a:
+        k = next((i for i in range(len(a)) if a[i][i]), None)
+        if k is not None:
+            a[0], a[k] = a[k], a[0]
+            for row in a:
+                row[0], row[k] = row[k], row[0]
+        else:
+            k = next((j for j in range(1, len(a)) if a[0][j]), None)
+            if k is None:
+                zero += 1
+                a = [row[1:] for row in a[1:]]
+                continue
+            a[0] = [x + y for x, y in zip(a[0], a[k])]
+            for row in a:
+                row[0] += row[k]
+        top = a[0]
+        p, s = top[0], abs(top[0])
         if p > 0:
             pos += 1
         else:
             neg += 1
-        for j in range(i + 1, n):
-            if a[i][j] != 0:
-                f = a[i][j] / p
-                for k in range(n):
-                    a[j][k] -= f * a[i][k]
-                for row in a:
-                    row[j] -= f * row[i]
+        # entry (s*x - sign(p)*row[0]*y) / prev; a row the pivot does not meet
+        # only scales by s/prev, and stays as it is when that is 1
+        a = [[(s * x - p // s * row[0] * y) // prev for x, y in zip(row[1:], top[1:])]
+             if row[0] or s != prev else row[1:] for row in a[1:]]
+        prev = s
     return pos, neg, zero

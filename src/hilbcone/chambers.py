@@ -271,7 +271,7 @@ def transport_wallset_down(ws: WallSet) -> WallSet:
     r = ws.surface_r - 1
     fr = ns.make_hirzebruch(r)
     n = ws.n
-    basis_up = [hp.transport_up(hp.lift_divisor(fr, ns.basis_class(fr, lab), n))
+    basis_up = [hp.transport_up(hp.lift_divisor(fr, ns.resolve_label(fr, lab), n))
                 for lab in ("E", "F")]
     basis_up.append(hp.transport_up(hp.exceptional(fr, n)))
 

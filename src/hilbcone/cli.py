@@ -65,16 +65,6 @@ def parse_terms(expr: str) -> list[tuple[Fraction, str]]:
     return out
 
 
-def _surface_class(S: ns.SurfaceLattice, terms) -> ns.SurfaceClass:
-    total = ns.make_class(S, [0] * S.rank)
-    for coeff, label in terms:
-        try:
-            total = total + coeff * ns.resolve_label(S, label)
-        except (KeyError, ValueError) as exc:
-            raise CLIError(f"no class named {label!r} on this surface") from exc
-    return total
-
-
 _BASIS_PRIORITY = ("H", "E", "F", "L", "B")
 
 
@@ -87,30 +77,12 @@ def _infer_basis(term_lists) -> list[str]:
     return [lab for lab in _BASIS_PRIORITY if lab in labels]
 
 
-def _vector(terms, basis) -> tuple[Fraction, ...]:
-    v = [Fraction(0)] * len(basis)
+def _vector(terms, label_map, where: str) -> tuple:
+    """The vector of parsed terms, each label read from an ns.label_map."""
+    v = [0] * len(next(iter(label_map.values())))
     for coeff, label in terms:
-        v[basis.index(label)] += coeff
-    return tuple(v)
-
-
-def _fixture_label_map(ws: ch.WallSet) -> dict[str, tuple[Fraction, ...]]:
-    dim = len(ws.basis_labels)
-    out = {}
-    for i, lab in enumerate(ws.basis_labels):
-        out[lab] = tuple(Fraction(1 if j == i else 0) for j in range(dim))
-    if (ws.surface_kind == "hirzebruch" and "H" not in out
-            and "E" in out and "F" in out and ws.surface_r is not None):
-        out["H"] = tuple(e + ws.surface_r * f for e, f in zip(out["E"], out["F"]))
-    return out
-
-
-def _fixture_vector(expr: str, label_map) -> tuple[Fraction, ...]:
-    dim = len(next(iter(label_map.values())))
-    v = [Fraction(0)] * dim
-    for coeff, label in parse_terms(expr):
         if label not in label_map:
-            raise CLIError(f"no class named {label!r} in this fixture")
+            raise CLIError(f"no class named {label!r} {where}")
         v = [a + coeff * b for a, b in zip(v, label_map[label])]
     return tuple(v)
 
@@ -128,7 +100,8 @@ def cmd_class(args) -> int:
     terms = parse_terms(args.curve)
     if any(lab == "B" for _, lab in terms):
         raise CLIError("curve classes live on the surface; B cannot appear")
-    C = _surface_class(S, terms)
+    C = ns.make_class(S, _vector(terms, ns.label_map(S.basis_labels, S.kind, S.r),
+                                 "on this surface"))
     if any(c.denominator != 1 for c in C.coeffs):
         raise CLIError("curve classes must be integral")
     if args.subcollection is not None and S.kind != "p2":
@@ -220,8 +193,9 @@ def cmd_cone(args) -> int:
         ray_terms = [parse_terms(e) for e in args.rays.split(",")]
         point_terms = parse_terms(args.point)
         basis = _infer_basis(ray_terms + [point_terms])
-        C = ch.cone_from_generators([_vector(t, basis) for t in ray_terms])
-        p = _vector(point_terms, basis)
+        labels = ns.label_map(basis)
+        C = ch.cone_from_generators([_vector(t, labels, "here") for t in ray_terms])
+        p = _vector(point_terms, labels, "here")
         payload = {
             "basis": basis,
             "contains": ch.contains(C, p),
@@ -237,8 +211,9 @@ def cmd_cone(args) -> int:
         sub_exprs = args.subspace.split(",")
         sub_terms = [parse_terms(e) for e in sub_exprs]
         basis = _infer_basis(ray_terms + sub_terms)
-        C = ch.cone_from_generators([_vector(t, basis) for t in ray_terms])
-        D = ch.intersect_subspace(C, [_vector(t, basis) for t in sub_terms])
+        labels = ns.label_map(basis)
+        C = ch.cone_from_generators([_vector(t, labels, "here") for t in ray_terms])
+        D = ch.intersect_subspace(C, [_vector(t, labels, "here") for t in sub_terms])
         payload = {"ambient_basis": basis, "subspace": sub_exprs} | _cone_json(D)
         _emit(args, payload, [json.dumps(payload)])
         return 0
@@ -248,9 +223,10 @@ def cmd_cone(args) -> int:
     if args.action == "walls-restrict":
         if not args.subspace:
             raise CLIError("walls-restrict needs --subspace")
-        label_map = _fixture_label_map(fx.wallset)
+        ws = fx.wallset
+        labels = ns.label_map(ws.basis_labels, ws.surface_kind, ws.surface_r)
         sub_exprs = args.subspace.split(",")
-        vecs = [_fixture_vector(e, label_map) for e in sub_exprs]
+        vecs = [_vector(parse_terms(e), labels, "in this fixture") for e in sub_exprs]
         restricted, dropped = ch.restrict_walls(fx.wallset, vecs, labels=sub_exprs)
         payload = {
             "wallset": ch.wallset_to_json(restricted),

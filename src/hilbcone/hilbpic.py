@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import _linalg as la
 from . import nslattice as ns
-from .nslattice import SurfaceClass, SurfaceLattice, _fr, format_rational
+from .nslattice import SurfaceClass, SurfaceLattice, format_rational
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,8 @@ class HilbDivClass:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "b_coeff", _fr(self.b_coeff))
+        (b,) = la.exact((self.b_coeff,))
+        object.__setattr__(self, "b_coeff", b)
         if self.n < 1:
             raise ValueError("need at least one point")
         if len(self.surface_part.coeffs) != self.surface.rank:
@@ -48,7 +49,7 @@ class HilbDivClass:
         return HilbDivClass(self.surface, -self.surface_part, -self.b_coeff, self.n)
 
     def __mul__(self, scalar) -> "HilbDivClass":
-        s = _fr(scalar)
+        (s,) = la.exact((scalar,))
         return HilbDivClass(self.surface, s * self.surface_part, s * self.b_coeff, self.n)
 
     __rmul__ = __mul__
@@ -69,8 +70,9 @@ class HilbCurveClass:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(_fr(v) for v in self.values))
-        object.__setattr__(self, "b_value", _fr(self.b_value))
+        *values, b = la.exact((*self.values, self.b_value))
+        object.__setattr__(self, "values", tuple(values))
+        object.__setattr__(self, "b_value", b)
         if len(self.values) != self.surface.rank:
             raise ValueError("pairing vector does not match lattice rank")
 
@@ -82,17 +84,16 @@ class HilbCurveClass:
 
 def lift_divisor(S: SurfaceLattice, D: SurfaceClass, n: int) -> HilbDivClass:
     """D[n]: subschemes whose support meets a fixed curve of class D."""
-    return HilbDivClass(S, D, Fraction(0), n)
+    return HilbDivClass(S, D, 0, n)
 
 
 def exceptional(S: SurfaceLattice, n: int) -> HilbDivClass:
     """B, the locus of non-reduced subschemes."""
-    zero = SurfaceClass((Fraction(0),) * S.rank)
-    return HilbDivClass(S, zero, Fraction(1), n)
+    return HilbDivClass(S, SurfaceClass((0,) * S.rank), 1, n)
 
 
 def hilb_class(S: SurfaceLattice, surface_coeffs, b, n: int) -> HilbDivClass:
-    return HilbDivClass(S, ns.make_class(S, surface_coeffs), _fr(b), n)
+    return HilbDivClass(S, ns.make_class(S, surface_coeffs), b, n)
 
 
 def is_pic_integral(D: HilbDivClass) -> bool:
@@ -103,9 +104,9 @@ def is_pic_integral(D: HilbDivClass) -> bool:
 def curve_from_divisor(S: SurfaceLattice, D0: SurfaceClass, n: int,
                        label: str = "") -> HilbCurveClass:
     """The sweep curve: n-1 points fixed, one point moving along a curve of
-    class D0.  The moving point stays reduced, so the pairing with B is zero."""
-    values = tuple(ns.pair(S, D0, ns.basis_class(S, lab)) for lab in S.basis_labels)
-    return HilbCurveClass(S, values, Fraction(0), n, label)
+    class D0.  The moving point stays reduced, so the pairing with B is zero.
+    D0 pairs with the basis classes through the rows of the gram matrix."""
+    return HilbCurveClass(S, la.mat_vec(S.gram, D0.coeffs), 0, n, label)
 
 
 def gamma2(S: SurfaceLattice, n: int) -> HilbCurveClass:
@@ -117,12 +118,12 @@ def gamma2(S: SurfaceLattice, n: int) -> HilbCurveClass:
     """
     if n < 2:
         raise ValueError("the diagonal fiber needs at least two points")
-    return HilbCurveClass(S, (Fraction(0),) * S.rank, Fraction(-2), n, "gamma2")
+    return HilbCurveClass(S, (0,) * S.rank, -2, n, "gamma2")
 
 
 def curve_from_pairings(S: SurfaceLattice, values, b_value, n: int,
                         label: str = "") -> HilbCurveClass:
-    return HilbCurveClass(S, tuple(_fr(v) for v in values), _fr(b_value), n, label)
+    return HilbCurveClass(S, tuple(values), b_value, n, label)
 
 
 def pullback_blowup_hilb(target: SurfaceLattice, D: HilbDivClass) -> HilbDivClass:
@@ -138,7 +139,7 @@ def pullback_blowup_hilb(target: SurfaceLattice, D: HilbDivClass) -> HilbDivClas
             raise ValueError("target lattice is not a blowup of the class's lattice")
         hops += S.rank - S.parent.rank
         S = S.parent
-    coeffs = tuple(D.surface_part.coeffs) + (Fraction(0),) * hops
+    coeffs = tuple(D.surface_part.coeffs) + (0,) * hops
     return HilbDivClass(target, SurfaceClass(coeffs), D.b_coeff, D.n)
 
 
@@ -155,11 +156,11 @@ def _roof_transport(surface_coeffs, r: int, up: bool) -> tuple[Fraction, Fractio
     m = ns.roof_basis_change(r)
     a, b = surface_coeffs
     if up:
-        sol = la.solve([list(row) for row in m], (a, b, Fraction(0)))
+        sol = la.solve([list(row) for row in m], (a, b, 0))
         if sol is None:
             raise ValueError("roof basis change is singular")  # cannot happen
         return sol[0], sol[1]
-    v = la.mat_vec(m, (a, b, Fraction(0)))
+    v = la.mat_vec(m, (a, b, 0))
     return v[0], v[1]
 
 
@@ -193,14 +194,14 @@ def slope_decompose(D: HilbDivClass, J: HilbDivClass, H: HilbDivClass) -> Fracti
         raise ValueError("slope decomposition needs nonzero B-coefficients")
     if H.b_coeff != 0:
         raise ValueError("the direction class must have zero B-coefficient")
-    rest = (J.b_coeff / D.b_coeff) * D - J
+    rest = Fraction(J.b_coeff, D.b_coeff) * D - J
     t = None
     for hv, rv in zip(H.surface_part.coeffs, rest.surface_part.coeffs):
         if hv == 0:
             if rv != 0:
                 raise ValueError("difference is not proportional to the direction class")
             continue
-        cand = rv / hv
+        cand = Fraction(rv, hv)
         if t is None:
             t = cand
         elif cand != t:

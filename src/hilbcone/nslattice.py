@@ -3,8 +3,9 @@
 A SurfaceLattice packages a labeled basis, the integer intersection form,
 the canonical class, chi(O), and generators of the effective cone when they
 are known.  Constructors cover the plane, Hirzebruch surfaces F_r, iterated
-blowups, and rank-one K3 surfaces of degree 4, 6 or 8.  Every scalar is a
-Fraction; no floating point exists anywhere downstream of this module.
+blowups, and rank-one K3 surfaces of degree 4, 6 or 8.  Scalars are ints
+and Fractions, elimination is over ints (see _linalg); no floating point
+exists anywhere downstream of this module.
 """
 
 from __future__ import annotations
@@ -16,13 +17,8 @@ from fractions import Fraction
 from . import _linalg as la
 
 
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def format_rational(x) -> str:
     """Serialize a rational as "p/q" with q > 0 and gcd 1, plain "p" for integers."""
-    x = _fr(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -35,7 +31,7 @@ class SurfaceClass:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_fr(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", la.exact(self.coeffs))
 
     def __add__(self, other: "SurfaceClass") -> "SurfaceClass":
         if len(self.coeffs) != len(other.coeffs):
@@ -49,7 +45,7 @@ class SurfaceClass:
         return SurfaceClass(tuple(-a for a in self.coeffs))
 
     def __mul__(self, scalar) -> "SurfaceClass":
-        s = _fr(scalar)
+        (s,) = la.exact((scalar,))
         return SurfaceClass(tuple(s * a for a in self.coeffs))
 
     __rmul__ = __mul__
@@ -102,50 +98,54 @@ class SurfaceLattice:
 
 
 def make_class(S: SurfaceLattice, coeffs) -> SurfaceClass:
-    c = SurfaceClass(tuple(_fr(x) for x in coeffs))
+    c = SurfaceClass(tuple(coeffs))
     if len(c.coeffs) != S.rank:
         raise ValueError("coefficient vector does not match lattice rank")
     return c
 
 
-def basis_class(S: SurfaceLattice, label: str) -> SurfaceClass:
-    i = S.basis_labels.index(label)
-    return SurfaceClass(tuple(Fraction(1 if j == i else 0) for j in range(S.rank)))
+def label_map(labels, kind: str = "", r: int | None = None) -> dict[str, tuple[int, ...]]:
+    """The vector each symbolic name stands for over a labeled basis.
+
+    Every basis label names its unit vector; over the E, F basis of a
+    Hirzebruch surface F_r, H also names the class E + rF.
+    """
+    out = {lab: tuple(int(j == i) for j in range(len(labels)))
+           for i, lab in enumerate(labels)}
+    if kind == "hirzebruch" and r is not None and {"E", "F"} <= out.keys():
+        out.setdefault("H", tuple(e + r * f for e, f in zip(out["E"], out["F"])))
+    return out
 
 
 def resolve_label(S: SurfaceLattice, name: str) -> SurfaceClass:
-    """Turn a symbolic name into a class; knows H = E + rF on a Hirzebruch surface."""
-    if name in S.basis_labels:
-        return basis_class(S, name)
-    if S.kind == "hirzebruch" and name == "H":
-        return basis_class(S, "E") + S.r * basis_class(S, "F")
-    raise ValueError(f"unknown class label {name!r} on {S.kind}")
+    """The class a symbolic name stands for on S, read from label_map."""
+    vec = label_map(S.basis_labels, S.kind, S.r).get(name)
+    if vec is None:
+        raise ValueError(f"unknown class label {name!r} on {S.kind}")
+    return SurfaceClass(vec)
 
 
 def make_p2() -> SurfaceLattice:
-    h = SurfaceClass((Fraction(1),))
     return SurfaceLattice(
         kind="p2",
         basis_labels=("H",),
         gram=((1,),),
-        canonical=SurfaceClass((Fraction(-3),)),
+        canonical=SurfaceClass((-3,)),
         chi_O=1,
-        eff_generators=(h,),
+        eff_generators=(SurfaceClass((1,)),),
     )
 
 
 def make_hirzebruch(r: int) -> SurfaceLattice:
     if r < 0:
         raise ValueError("Hirzebruch parameter must be nonnegative")
-    e = SurfaceClass((Fraction(1), Fraction(0)))
-    f = SurfaceClass((Fraction(0), Fraction(1)))
     return SurfaceLattice(
         kind="hirzebruch",
         basis_labels=("E", "F"),
         gram=((-r, 1), (1, 0)),
-        canonical=SurfaceClass((Fraction(-2), Fraction(-(r + 2)))),
+        canonical=SurfaceClass((-2, -(r + 2))),
         chi_O=1,
-        eff_generators=(e, f),
+        eff_generators=(SurfaceClass((1, 0)), SurfaceClass((0, 1))),
         r=r,
     )
 
@@ -153,14 +153,13 @@ def make_hirzebruch(r: int) -> SurfaceLattice:
 def make_k3(deg: int) -> SurfaceLattice:
     if deg not in (4, 6, 8):
         raise ValueError("only the degree 4, 6, 8 families are modeled")
-    ell = SurfaceClass((Fraction(1),))
     return SurfaceLattice(
         kind="k3",
         basis_labels=("L",),
         gram=((deg,),),
-        canonical=SurfaceClass((Fraction(0),)),
+        canonical=SurfaceClass((0,)),
         chi_O=2,
-        eff_generators=(ell,),
+        eff_generators=(SurfaceClass((1,)),),
         deg=deg,
     )
 
@@ -183,7 +182,7 @@ def blow_up(S: SurfaceLattice, k: int) -> SurfaceLattice:
         row = [0] * (n + k)
         row[n + i] = -1
         gram.append(row)
-    canonical = SurfaceClass(tuple(S.canonical.coeffs) + (Fraction(1),) * k)
+    canonical = SurfaceClass(tuple(S.canonical.coeffs) + (1,) * k)
     return SurfaceLattice(
         kind="blowup",
         basis_labels=S.basis_labels + new_labels,

@@ -182,7 +182,7 @@ def _p2_imposing():
 @_case("p2-n145-wall-side")
 def _p2_145_side():
     sev = sv.severi_class_p2(28, 145).cls
-    k = sev.surface_part.coeffs[0] / (-2 * sev.b_coeff)
+    k = Fraction(sev.surface_part.coeffs[0], -2 * sev.b_coeff)
     assert k == Fraction(81, 5) < 17
     ws = ch.load_fixture("p2n145_dk.json").wallset
     signs = ch.locate(ws, (162, -5))
@@ -240,7 +240,7 @@ def _fr_general():
 def _fr_transport():
     for r in range(0, 11):
         S = ns.make_hirzebruch(r)
-        up = hp.transport_up(hp.lift_divisor(S, ns.basis_class(S, "E"), 3))
+        up = hp.transport_up(hp.lift_divisor(S, ns.resolve_label(S, "E"), 3))
         assert tuple(up.surface_part.coeffs) == (1, 1) and up.b_coeff == 0
         eff = ch.cone_from_generators([(1, 0), (0, 1)])
         assert ch.contains(eff, tuple(up.surface_part.coeffs))

@@ -1,6 +1,5 @@
 """Independent oracles that tests compare the library against."""
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -61,6 +60,55 @@ def solve(rows, rhs, ncols: int) -> tuple[Fraction, ...] | None:
     return tuple(x)
 
 
+def signature(gram) -> tuple[int, int, int]:
+    """Inertia (positive, negative, zero) by congruence pivoting over Fraction."""
+    a = [[Fraction(x) for x in row] for row in gram]
+    n = len(a)
+    pos = neg = zero = 0
+    for i in range(n):
+        if a[i][i] == 0:
+            swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                a[i], a[swap] = a[swap], a[i]
+                for row in a:
+                    row[i], row[swap] = row[swap], row[i]
+            else:
+                off = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+                if off is None:
+                    zero += 1
+                    continue
+                # a[off][off] = 0 too, so adding row/col off makes the pivot 2*a[i][off]
+                for k in range(n):
+                    a[i][k] += a[off][k]
+                for row in a:
+                    row[i] += row[off]
+        p = a[i][i]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for j in range(i + 1, n):
+            if a[i][j] != 0:
+                f = a[i][j] / p
+                for k in range(n):
+                    a[j][k] -= f * a[i][k]
+                for row in a:
+                    row[j] -= f * row[i]
+    return pos, neg, zero
+
+
+def _extend(red, row):
+    """Reduced rows (pivot, row) of red plus row, or None when row depends on them."""
+    for p, r in red:
+        f = row[p]
+        row = [a - f * b for a, b in zip(row, r)]
+    p = next((i for i, x in enumerate(row) if x != 0), None)
+    if p is None:
+        return None
+    row = [Fraction(x, row[p]) for x in row]
+    return [(q, [a - r[p] * b for a, b in zip(r, row)]) for q, r in red] + [(p, row)]
+
+
 def dual_description_subsets(rows: list, dim: int):
     """Extreme rays and lineality of {x : r.x >= 0 for r in rows}, by brute force.
 
@@ -69,8 +117,11 @@ def dual_description_subsets(rows: list, dim: int):
     quotient is taken in coordinates given by standard basis vectors
     completing that kernel, and there every extreme ray is the kernel of
     some subset of ddim-1 constraints of rank ddim-1, so enumerating those
-    subsets with Fraction row reduction is complete.  All elimination here
-    is the Fraction rref above, so none of it is shared with the library.
+    subsets with Fraction row reduction is complete.  Subsets grow depth
+    first with their reduced rows (_extend), a prefix that is already
+    dependent is dropped with all its extensions, and each kernel direction
+    is sign-tested once.  All elimination here is
+    over Fraction in this module, so none of it is shared with the library.
     """
     rows = [tuple(Fraction(x) for x in r) for r in rows]
     lineality = sorted(max(p, tuple(-x for x in p))
@@ -89,15 +140,29 @@ def dual_description_subsets(rows: list, dim: int):
     assert len(comp) == ddim
 
     reduced = [tuple(la.dot(r, c) for c in comp) for r in rows]
-    rays = set()
-    for subset in itertools.combinations(range(len(reduced)), ddim - 1):
-        sub = [reduced[i] for i in subset]
-        if rank(sub, ddim) != ddim - 1:
+    # positive scaling changes no half-space, and a zero row constrains nothing
+    reduced = [la.primitive(r) for r in reduced if any(r)]
+
+    def independent(start, red):
+        if len(red) == ddim - 1:
+            yield red
+            return
+        for i in range(start, len(reduced)):
+            ext = _extend(red, reduced[i])
+            if ext is not None:
+                yield from independent(i + 1, ext)
+
+    rays, tried = set(), set()
+    for red in independent(0, []):
+        # the one free column carries the kernel vector
+        free = min(set(range(ddim)) - {p for p, _ in red})
+        u = [int(j == free) for j in range(ddim)]
+        for p, r in red:
+            u[p] = -r[free]
+        u = la.primitive(u)
+        if u in tried:
             continue
-        kernel = nullspace(sub, ddim)
-        if len(kernel) != 1:
-            continue
-        u = kernel[0]
+        tried.add(u)
         vals = [la.dot(r, u) for r in reduced]
         if all(v >= 0 for v in vals):
             pass

@@ -103,7 +103,7 @@ def test_criterion_06_hirzebruch_classes():
         gen = sv.severi_class_general(S, ns.make_class(S, [a, b]), n)
         assert gen.cls == res.cls
     cls77 = sv.severi_class_hirzebruch(1, 7, 7, 12).cls
-    assert cls77.surface_part == 18 * ns.resolve_label(S, "H") + ns.basis_class(S, "E")
+    assert cls77.surface_part == 18 * ns.resolve_label(S, "H") + ns.resolve_label(S, "E")
 
 
 @criterion(7, "enumeration solution sets: F_1 and F_2k at n=12, K3 degrees 6 and 8")

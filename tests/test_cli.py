@@ -351,6 +351,16 @@ def test_reproduce_json(capsys):
     assert len(results) == len({r["id"] for r in results})
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (["reproduce"], "reproduce.txt"),
+    (["reproduce", "--json"], "reproduce.json"),
+])
+def test_reproduce_matches_golden_bytes(capsys, argv, golden):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
 def test_reproduce_filter(capsys):
     code, out, _ = run_cli(capsys, "reproduce", "--filter", "p2")
     assert code == 0

@@ -18,7 +18,7 @@ def sev12():
 
 
 def test_lift_divisor():
-    h3 = hp.lift_divisor(P2, ns.basis_class(P2, "H"), 3)
+    h3 = hp.lift_divisor(P2, ns.resolve_label(P2, "H"), 3)
     assert h3.surface_part.coeffs == (Fraction(1),)
     assert h3.b_coeff == 0 and h3.n == 3
     h12 = hp.lift_divisor(F1, ns.resolve_label(F1, "H"), 12)
@@ -34,7 +34,7 @@ def test_pic_integrality():
 
 
 def test_class_arithmetic():
-    d = 18 * hp.lift_divisor(P2, ns.basis_class(P2, "H"), 12) \
+    d = 18 * hp.lift_divisor(P2, ns.resolve_label(P2, "H"), 12) \
         - Fraction(5, 2) * hp.exceptional(P2, 12)
     assert d == sev12()
     with pytest.raises(ValueError):
@@ -54,10 +54,10 @@ def test_curve_from_divisor_pairs_like_surface():
 
 
 def test_gamma1_against_severi_class():
-    gamma1 = hp.curve_from_divisor(P2, ns.basis_class(P2, "H"), 12, "gamma1")
+    gamma1 = hp.curve_from_divisor(P2, ns.resolve_label(P2, "H"), 12, "gamma1")
     assert gamma1.pair(sev12()) == 18
-    f_curve = hp.curve_from_divisor(F1, ns.basis_class(F1, "F"), 12)
-    assert f_curve.pair(hp.lift_divisor(F1, ns.basis_class(F1, "E"), 12)) == 1
+    f_curve = hp.curve_from_divisor(F1, ns.resolve_label(F1, "F"), 12)
+    assert f_curve.pair(hp.lift_divisor(F1, ns.resolve_label(F1, "E"), 12)) == 1
 
 
 def test_gamma2():
@@ -65,7 +65,7 @@ def test_gamma2():
     assert g2.values == (Fraction(0),)
     assert g2.b_value == -2
     assert g2.pair(sev12()) == 5
-    assert g2.pair(hp.lift_divisor(P2, ns.basis_class(P2, "H"), 12)) == 0
+    assert g2.pair(hp.lift_divisor(P2, ns.resolve_label(P2, "H"), 12)) == 0
     assert g2.pair(hp.exceptional(P2, 12)) == -2
     with pytest.raises(ValueError):
         hp.gamma2(P2, 1)
@@ -81,7 +81,7 @@ def test_p4_pairings():
 
 def test_pullback_blowup():
     s1 = ns.blow_up(P2, 1)
-    h3 = hp.lift_divisor(P2, ns.basis_class(P2, "H"), 3)
+    h3 = hp.lift_divisor(P2, ns.resolve_label(P2, "H"), 3)
     up = hp.pullback_blowup_hilb(s1, h3)
     assert up.surface_part.coeffs == (Fraction(1), Fraction(0))
     assert up.b_coeff == 0
@@ -117,7 +117,7 @@ def test_transport_up_basics():
         up = hp.transport_up(h)
         assert up.surface.r == r + 1
         assert up.surface_part.coeffs == (Fraction(1), Fraction(r + 1))
-        e_up = hp.transport_up(hp.lift_divisor(fr, ns.basis_class(fr, "E"), 3))
+        e_up = hp.transport_up(hp.lift_divisor(fr, ns.resolve_label(fr, "E"), 3))
         assert e_up.surface_part.coeffs == (Fraction(1), Fraction(1))
         assert ns.is_effective(up.surface, e_up.surface_part) == "yes"
         b_up = hp.transport_up(hp.exceptional(fr, 3))
@@ -127,11 +127,11 @@ def test_transport_up_basics():
 def test_transport_down_basics():
     for r in range(1, 11):
         fr = ns.make_hirzebruch(r)
-        e = hp.lift_divisor(fr, ns.basis_class(fr, "E"), 3)
+        e = hp.lift_divisor(fr, ns.resolve_label(fr, "E"), 3)
         down = hp.transport_down(e)
         assert down.surface.r == r - 1
         assert down.surface_part.coeffs == (Fraction(1), Fraction(0))
-        f = hp.lift_divisor(fr, ns.basis_class(fr, "F"), 3)
+        f = hp.lift_divisor(fr, ns.resolve_label(fr, "F"), 3)
         assert hp.transport_down(f).surface_part.coeffs == (Fraction(0), Fraction(1))
         b = hp.exceptional(fr, 3)
         assert hp.transport_down(b).b_coeff == 1
@@ -150,7 +150,7 @@ def test_transport_mixed_class():
 
 
 def test_slope_decompose():
-    h = hp.lift_divisor(P2, ns.basis_class(P2, "H"), 12)
+    h = hp.lift_divisor(P2, ns.resolve_label(P2, "H"), 12)
     j = hp.hilb_class(P2, [7], -1, 12)
     m = hp.hilb_class(P2, [25], Fraction(-7, 2), 12)
     assert hp.slope_decompose(sev12(), j, h) == Fraction(1, 5)
@@ -162,6 +162,15 @@ def test_slope_decompose():
         hp.slope_decompose(sev12(), h, h)
     with pytest.raises(ValueError):
         hp.slope_decompose(sev12(), j, j)
+
+
+def test_slope_decompose_is_exact_on_integer_b_coefficients():
+    # B-coefficients 3 and -1 have the non-dyadic ratio -1/3: D scaled is -1/3 H - B
+    h = hp.lift_divisor(P2, ns.resolve_label(P2, "H"), 4)
+    d = hp.hilb_class(P2, [1], 3, 4)
+    j = hp.hilb_class(P2, [2], -1, 4)
+    t = hp.slope_decompose(d, j, h)
+    assert type(t) is Fraction and t == Fraction(-7, 3)
 
 
 def test_json_shapes():

@@ -8,6 +8,7 @@ import pytest
 from hilbcone import _linalg as la
 from hilbcone import nslattice as ns
 from oracles import rref
+from oracles import signature as oracle_signature
 from oracles import nullspace as rref_nullspace
 from oracles import solve as rref_solve
 
@@ -45,8 +46,8 @@ def test_hirzebruch_h_is_e_plus_rf():
         assert h.coeffs == (Fraction(1), Fraction(r))
         # H^2 = r, H.F = 1, H.E = 0 on F_r
         assert ns.pair(fr, h, h) == r
-        assert ns.pair(fr, h, ns.basis_class(fr, "F")) == 1
-        assert ns.pair(fr, h, ns.basis_class(fr, "E")) == 0
+        assert ns.pair(fr, h, ns.resolve_label(fr, "F")) == 1
+        assert ns.pair(fr, h, ns.resolve_label(fr, "E")) == 0
 
 
 def test_k3_lattice_data():
@@ -81,7 +82,7 @@ def test_pair_examples():
     c = cls(7, 7)
     assert ns.pair(f1, c, c) == 49
     assert ns.pair(f1, c, f1.canonical) == -21
-    assert ns.pair(f1, ns.basis_class(f1, "E"), ns.basis_class(f1, "F")) == 1
+    assert ns.pair(f1, ns.resolve_label(f1, "E"), ns.resolve_label(f1, "F")) == 1
     with pytest.raises(ValueError):
         ns.pair(p2, cls(1, 2), cls(1))
 
@@ -169,7 +170,7 @@ def test_effectivity_tristate():
     assert ns.is_effective(f1, cls(2, 3)) == "yes"
     assert ns.is_effective(f1, cls(1, -1)) == "no"
     s1 = ns.blow_up(p2, 1)
-    assert ns.is_effective(s1, ns.basis_class(s1, "E1")) == "unknown"
+    assert ns.is_effective(s1, ns.resolve_label(s1, "E1")) == "unknown"
 
 
 def test_signature_guard():
@@ -338,3 +339,37 @@ def test_signature_helper():
     assert la.signature(((-2, 1), (1, 0))) == (1, 1, 0)
     assert la.signature(((0, 1), (1, 0))) == (1, 1, 0)
     assert la.signature(((0, 0), (0, 0))) == (0, 0, 2)
+
+
+def test_signature_matches_fraction_oracle():
+    rng = random.Random(20261019)
+    seen = {"zero_diagonal": 0, "repeated": 0, "singular": 0}
+    for _ in range(2000):
+        n = rng.randint(0, 6)
+        if n and rng.random() < 0.2:
+            # a form M^T D M of rank below n
+            k = rng.randint(0, n - 1)
+            m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+            d = [rng.randint(-3, 3) for _ in range(k)]
+            a = [[sum(m[t][i] * d[t] * m[t][j] for t in range(k)) for j in range(n)]
+                 for i in range(n)]
+        else:
+            a = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    a[i][j] = a[j][i] = rng.randint(-3, 3)
+            if rng.random() < 0.3:
+                for i in range(n):
+                    a[i][i] = 0
+            if n >= 2 and rng.random() < 0.3:
+                # row and column j repeat row and column i
+                i, j = rng.sample(range(n), 2)
+                for row in a:
+                    row[j] = row[i]
+                a[j] = list(a[i])
+        want = oracle_signature(a)
+        assert la.signature(a) == want, a
+        seen["zero_diagonal"] += n > 1 and not any(a[i][i] for i in range(n)) and any(map(any, a))
+        seen["repeated"] += any(a[i] == a[j] for i in range(n) for j in range(i))
+        seen["singular"] += want[2] > 0
+    assert min(seen.values()) >= 100, seen

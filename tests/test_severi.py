@@ -53,7 +53,7 @@ def test_subcollection_n13():
 
 def test_subcollection_test_curves():
     d = sv.severi_class_subcollection(7, 12, 13).cls
-    c = hp.curve_from_divisor(P2, ns.basis_class(P2, "H"), 13, "C")
+    c = hp.curve_from_divisor(P2, ns.resolve_label(P2, "H"), 13, "C")
     assert c.pair(d) == 216 == 12 * 18
     cprime = hp.curve_from_pairings(P2, [1], 2, 13, "C'")
     assert cprime.pair(d) == 161 == 18 + 11 * 13
@@ -83,7 +83,7 @@ def test_hirzebruch_classes():
     # in (H, E) coordinates on F_1: 19E + 18F = 18H + E
     f1 = ns.make_hirzebruch(1)
     h = ns.resolve_label(f1, "H")
-    e = ns.basis_class(f1, "E")
+    e = ns.resolve_label(f1, "E")
     assert 18 * h + e == res.cls.surface_part
 
 
