@@ -361,6 +361,36 @@ def test_reproduce_matches_golden_bytes(capsys, argv, golden):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+CLI_GOLDEN_ARGVS = [
+    *(["enumerate", "--surface", "p2", "--n", n] for n in ("1", "3", "7", "12", "145")),
+    *(["enumerate", "--surface", f"fr:{r}", "--n", n] + filters
+      for r in range(4) for n in ("3", "12") for filters in ([], ["--filters", "chi,genus"])),
+    *(["enumerate", "--k3", deg, "--nmax", "100"] for deg in ("4", "6", "8")),
+    ["cone", "contains", "--rays", "B,7H-B", "--point", "25H-7/2B"],
+    ["cone", "contains", "--rays", "E,F,E-F", "--point", "F-E"],
+    ["cone", "restrict", "--rays", "E,F", "--subspace", "E+F"],
+    ["cone", "restrict", "--rays", "E,F,E-F,B", "--subspace", "E+F,B"],
+    ["cone", "walls-restrict", "--fixture", "f1n3.json", "--subspace", "H,B"],
+    ["cone", "walls-restrict", "--fixture", "p2n12_dk.json", "--subspace", "H,B"],
+    ["cone", "transport", "--fixture", "f1n3.json"],
+]
+
+
+def _cli_transcript(capsys) -> str:
+    """Each argv in both formats as `$ hilbcone ...`, its stdout, `[exit N]`."""
+    out = []
+    for argv in CLI_GOLDEN_ARGVS:
+        for fmt in ("json", "table"):
+            full = argv + ["--format", fmt]
+            code, stdout, _ = run_cli(capsys, *full)
+            out.append(f"$ hilbcone {' '.join(full)}\n{stdout}[exit {code}]\n")
+    return "".join(out)
+
+
+def test_cli_outputs_match_golden_bytes(capsys):
+    assert _cli_transcript(capsys).encode() == (GOLDEN / "cli.txt").read_bytes()
+
+
 def test_reproduce_filter(capsys):
     code, out, _ = run_cli(capsys, "reproduce", "--filter", "p2")
     assert code == 0
