@@ -1,8 +1,11 @@
 """Command line front end.
 
 Every subcommand is a thin shim over the library: parse flags, call one
-function, serialize the result.  Exit codes: 0 for success (math check
-failures are reported in the output, not the exit code), 1 when the
+function, serialize the result.  A result dataclass becomes its JSON payload
+through `dataclasses.asdict`, so the keys are its field names, and
+`--format table` renders that same payload: `_table` writes columns under a
+header of field names, one line per record.  Exit codes: 0 for success (math
+check failures are reported in the output, not the exit code), 1 when the
 reproduction run has a failing case, 2 for unusable input.
 """
 
@@ -12,6 +15,8 @@ import argparse
 import json
 import re
 import sys
+from collections import Counter
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import chambers as ch
@@ -87,6 +92,11 @@ def _vector(terms, label_map, where: str) -> tuple:
     return tuple(v)
 
 
+def _table(columns, records) -> list[str]:
+    """A header line of column names, then one line per record."""
+    return [" ".join(columns)] + [" ".join(str(r[c]) for c in columns) for r in records]
+
+
 def _emit(args, payload: dict, table_lines) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -132,19 +142,9 @@ def cmd_enumerate(args) -> int:
     if args.k3 is not None:
         if args.nmax is None:
             raise CLIError("--k3 needs --nmax")
-        enum = sv.enumerate_k3(args.k3, args.nmax)
-        payload = {
-            "deg": enum.deg,
-            "n_max": enum.n_max,
-            "solutions": [
-                {"d": s.d, "n": s.n, "genus_ok": s.genus_ok} for s in enum.solutions
-            ],
-            "flags": list(enum.flags),
-        }
-        lines = ["d n genus_ok"]
-        lines += [f"{s.d} {s.n} {s.genus_ok}" for s in enum.solutions]
-        lines.append("flags: " + (", ".join(enum.flags) if enum.flags else "none"))
-        _emit(args, payload, lines)
+        payload = asdict(sv.enumerate_k3(args.k3, args.nmax))
+        _emit(args, payload, _table(("d", "n", "genus_ok"), payload["solutions"])
+              + ["flags: " + (", ".join(payload["flags"]) or "none")])
         return 0
     if args.surface is None:
         raise CLIError("need --surface or --k3")
@@ -152,38 +152,18 @@ def cmd_enumerate(args) -> int:
         raise CLIError("need --n")
     S = parse_surface(args.surface)
     if S.kind == "p2":
-        cands = sv.enumerate_p2(args.n)
-        payload = {"candidates": [
-            {"d": c.d, "n": c.n, "treger_birational": c.treger_birational,
-             "treger_exception": c.treger_exception} for c in cands]}
-        lines = ["d n treger_birational treger_exception"]
-        lines += [f"{c.d} {c.n} {c.treger_birational} {c.treger_exception}"
-                  for c in cands]
-        _emit(args, payload, lines)
+        payload = {"candidates": [asdict(c) for c in sv.enumerate_p2(args.n)]}
+        _emit(args, payload, _table(("d", "n", "treger_birational", "treger_exception"),
+                                    payload["candidates"]))
         return 0
     if S.kind == "hirzebruch":
         filters = tuple(f for f in (args.filters or "").split(",") if f)
         cands = sv.enumerate_hirzebruch(S.r, args.n, filters)
-        payload = {"candidates": [
-            {"a": c.a, "b": c.b, "verdicts": c.verdicts, "passes": c.passes}
-            for c in cands]}
-        header = "a b " + " ".join(sv.HIRZEBRUCH_FILTERS)
-        lines = [header]
-        lines += [f"{c.a} {c.b} " + " ".join(
-            str(c.verdicts[f]) for f in sv.HIRZEBRUCH_FILTERS) for c in cands]
-        _emit(args, payload, lines)
+        payload = {"candidates": [asdict(c) for c in cands]}
+        _emit(args, payload, _table(("a", "b", *sv.HIRZEBRUCH_FILTERS),
+                                    [c | c["verdicts"] for c in payload["candidates"]]))
         return 0
     raise CLIError("enumeration covers p2, fr:<r> and --k3 surfaces")
-
-
-def _cone_json(C: ch.Cone) -> dict:
-    return {
-        "dim": C.dim,
-        "rays": [list(r) for r in C.rays],
-        "lineality": [list(l) for l in C.lineality],
-        "facets": [list(f) for f in C.facets],
-        "equations": [list(e) for e in C.equations],
-    }
 
 
 def cmd_cone(args) -> int:
@@ -214,7 +194,7 @@ def cmd_cone(args) -> int:
         labels = ns.label_map(basis)
         C = ch.cone_from_generators([_vector(t, labels, "here") for t in ray_terms])
         D = ch.intersect_subspace(C, [_vector(t, labels, "here") for t in sub_terms])
-        payload = {"ambient_basis": basis, "subspace": sub_exprs} | _cone_json(D)
+        payload = {"ambient_basis": basis, "subspace": sub_exprs} | asdict(D)
         _emit(args, payload, [json.dumps(payload)])
         return 0
     if not args.fixture:
@@ -254,20 +234,16 @@ def cmd_plot(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    results = rp.run(args.filter)
+    results = [asdict(r) for r in rp.run(args.filter)]
     if args.json:
-        print(json.dumps([
-            {"id": r.case_id, "status": r.status, "detail": r.detail}
-            for r in results], indent=2))
+        print(json.dumps(results, indent=2))
     else:
         for r in results:
-            print(f"{r.status:4} {r.case_id}: {r.detail}")
-        counts = {"PASS": 0, "WARN": 0, "FAIL": 0}
-        for r in results:
-            counts[r.status] += 1
+            print(f"{r['status']:4} {r['id']}: {r['detail']}")
+        counts = Counter(r["status"] for r in results)
         print(f"{counts['PASS']} passed, {counts['WARN']} warned, "
               f"{counts['FAIL']} failed")
-    return 1 if any(r.status == "FAIL" for r in results) else 0
+    return 1 if any(r["status"] == "FAIL" for r in results) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -222,18 +222,6 @@ def div_to_json(D: HilbDivClass) -> dict:
     }
 
 
-def curve_to_json(c: HilbCurveClass) -> dict:
-    return {
-        "surface": {
-            "basis": list(c.surface.basis_labels),
-            "values": [format_rational(v) for v in c.values],
-        },
-        "b_value": format_rational(c.b_value),
-        "n": c.n,
-        "label": c.label,
-    }
-
-
 def format_hilb(D: HilbDivClass, labels: tuple[str, ...] | None = None) -> str:
     """Human form like "18H-5/2B"; zero coefficients are dropped."""
     labels = labels or D.surface.basis_labels

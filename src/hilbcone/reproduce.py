@@ -19,7 +19,7 @@ from . import severi as sv
 
 @dataclass(frozen=True)
 class CaseResult:
-    case_id: str
+    id: str
     status: str
     detail: str
 

@@ -32,28 +32,10 @@ HIRZEBRUCH_FILTERS = ("chi", "h0_exact", "genus", "expected_dim", "k3c_effective
 
 
 @dataclass(frozen=True)
-class SeveriInput:
-    surface: SurfaceLattice
-    curve_class: SurfaceClass
-    n: int
-    codim: int = 0
-    m: int | None = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one node")
-        if self.codim < 0:
-            raise ValueError("codimension must be nonnegative")
-        if self.m is not None and self.m < self.n:
-            raise ValueError("total point count cannot be below the node count")
-
-
-@dataclass(frozen=True)
 class SeveriResult:
     cls: HilbDivClass
     checks: dict
     flags: tuple[str, ...]
-    input: SeveriInput
     normalized_ray: HilbDivClass | None = None
 
 
@@ -136,11 +118,13 @@ def severi_class_general(S: SurfaceLattice, C: SurfaceClass, n: int,
             raise ValueError("section count is not computable here; pass h0")
     k3c = S.canonical + 3 * C
     cls = HilbDivClass(S, k3c, Fraction(-5, 2), n)
+    if codim < 0:
+        raise ValueError("codimension must be nonnegative")
     dim_lhs = ns.chi(S, C) if S.kind == "hirzebruch" else h0
     checks, flags = _base_checks(S, C, k3c, n, dim_lhs, codim)
     if S.kind == "hirzebruch" and h0 is not None and h0 != 3 * n:
         flags.append(FLAG_H0)
-    return SeveriResult(cls, checks, tuple(flags), SeveriInput(S, C, n, codim=codim))
+    return SeveriResult(cls, checks, tuple(flags))
 
 
 def severi_class_p2(d: int, n: int, codim: int = 0) -> SeveriResult:
@@ -166,7 +150,7 @@ def severi_class_subcollection(d: int, n: int, m: int, l: int = 0) -> SeveriResu
     S, h = res.cls.surface, res.cls.surface_part.coeffs[0]
     cls = hp.hilb_class(S, [comb(m - 1, n - 1) * h], Fraction(-5, 2) * comb(m - 2, n - 2), m)
     ray = hp.hilb_class(S, [Fraction(m - 1, n - 1) * h], Fraction(-5, 2), m)
-    return replace(res, cls=cls, input=replace(res.input, m=m), normalized_ray=ray)
+    return replace(res, cls=cls, normalized_ray=ray)
 
 
 def severi_class_hirzebruch(r: int, a: int, b: int, n: int) -> SeveriResult:
@@ -184,7 +168,7 @@ class P2Candidate:
 
 
 def _p2_candidate(d: int, n: int) -> P2Candidate:
-    in_window = Fraction(d * (d + 3), 6) <= n <= Fraction((d - 1) * (d - 2), 2)
+    in_window = d * (d + 3) <= 6 * n <= 3 * (d - 1) * (d - 2)
     exception = (d, n) == (6, 9)
     return P2Candidate(d, n, in_window and not exception, exception)
 
@@ -244,10 +228,10 @@ def enumerate_hirzebruch(r: int, n: int, filters) -> list[HirzebruchCandidate]:
     out = []
     for a1 in _divisors(6 * n):
         a = a1 - 1
-        b1 = Fraction(3 * n, a1) + Fraction(r * a, 2)
-        if b1.denominator != 1 or b1 < 1:
+        twice = 6 * n // a1 + r * a
+        if twice % 2 or twice // 2 < 1:
             continue
-        b = int(b1) - 1
+        b = twice // 2 - 1
         C = ns.make_class(S, [a, b])
         verdicts = {
             "chi": ns.chi(S, C) == 3 * n,
@@ -281,26 +265,25 @@ class K3Enumeration:
 def enumerate_k3(deg: int, n_max: int) -> K3Enumeration:
     """All (d, n) with deg d^2 / 2 + 2 = 3n and n <= n_max.
 
-    The raw solution sets disagree with the claimed ones in two ways: the
-    degree-4 equation 2d^2 + 2 = 3n has no integer solutions at all, and the
-    degree-8 one has a solution for every d not divisible by 3, far more
-    than the single advertised pair (1, 2).  Both disagreements surface as
-    a flag on the result.
+    Degrees 4 and 6 have no solutions: d^2 is 0 or 1 mod 3, so 2d^2 + 2 is
+    2 or 1 mod 3 and 3d^2 + 2 is 2 mod 3, never a multiple of 3.  The raw
+    solution sets disagree with the claimed ones in two ways: the degree-4
+    set is empty although claimed solvable, and the degree-8 one has a
+    solution for every d not divisible by 3, far more than the single
+    advertised pair (1, 2).  Both disagreements surface as a flag on the
+    result.
     """
     if deg not in (4, 6, 8):
         raise ValueError("only the degree 4, 6, 8 families are modeled")
-    S = ns.make_k3(deg)
     sols = []
-    d = 1
-    while True:
-        total = Fraction(deg * d * d, 2) + 2
-        n = total / 3
-        if n > n_max:
-            break
-        if n.denominator == 1:
-            pa = ns.arithmetic_genus(S, ns.make_class(S, [d]))
-            sols.append(K3Candidate(d, int(n), int(n) <= pa))
-        d += 1
+    if deg == 8:
+        S = ns.make_k3(deg)
+        d = 1
+        while (total := deg * d * d // 2 + 2) <= 3 * n_max:
+            if total % 3 == 0:
+                pa = ns.arithmetic_genus(S, ns.make_class(S, [d]))
+                sols.append(K3Candidate(d, total // 3, total // 3 <= pa))
+            d += 1
     flags = []
     if deg == 4 and not sols:
         # claimed solvable, provably empty mod 3

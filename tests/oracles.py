@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 from hilbcone import _linalg as la
+from hilbcone import nslattice as ns
 from hilbcone.chambers import Cone
 
 
@@ -95,6 +96,22 @@ def signature(gram) -> tuple[int, int, int]:
                 for row in a:
                     row[j] -= f * row[i]
     return pos, neg, zero
+
+
+def k3_solutions(deg: int, n_max: int) -> list[tuple[int, int, bool]]:
+    """(d, n, genus_ok) with deg d^2 / 2 + 2 = 3n and n <= n_max, by a Fraction
+    walk over every d."""
+    S = ns.make_k3(deg)
+    sols = []
+    d = 1
+    while True:
+        n = (Fraction(deg * d * d, 2) + 2) / 3
+        if n > n_max:
+            return sols
+        if n.denominator == 1:
+            pa = ns.arithmetic_genus(S, ns.make_class(S, [d]))
+            sols.append((d, int(n), int(n) <= pa))
+        d += 1
 
 
 def _extend(red, row):

@@ -121,6 +121,14 @@ def test_class_usage_errors_exit_2(capsys, argv):
     assert code == 2 and out == "" and err.startswith("hilbcone:")
 
 
+@pytest.mark.parametrize("extra", [[], ["--subcollection", "13"]])
+def test_class_negative_codim_exits_2(capsys, extra):
+    code, out, err = run_cli(capsys, "class", "--surface", "p2", "--curve", "7H",
+                             "--n", "12", "--codim", "-1", *extra)
+    assert (code, out) == (2, "")
+    assert err == "hilbcone: codimension must be nonnegative\n"
+
+
 def test_class_subcollection_honours_codim(capsys):
     base = run_json(capsys, "class", "--surface", "p2", "--curve", "7H",
                     "--n", "12", "--subcollection", "13")

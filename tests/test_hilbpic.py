@@ -181,9 +181,6 @@ def test_json_shapes():
         "b": "-5/2",
         "n": 12,
     }
-    c = hp.curve_from_pairings(P2, [4], 28, 12, "P4")
-    cj = hp.curve_to_json(c)
-    assert cj["b_value"] == "28" and cj["label"] == "P4"
 
 
 def test_format_hilb():

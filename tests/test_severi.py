@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from hilbcone import hilbpic as hp
 from hilbcone import nslattice as ns
 from hilbcone import severi as sv
+from oracles import k3_solutions
 
 
 P2 = ns.make_p2()
@@ -231,6 +233,26 @@ def test_enumerate_k3():
     assert all(s.genus_ok for s in oct_.solutions)
     with pytest.raises(ValueError):
         sv.enumerate_k3(10, 5)
+
+
+@pytest.mark.parametrize("deg", [4, 6, 8])
+def test_enumerate_k3_matches_fraction_walk(deg):
+    for n_max in (-3, 0, 1, 2, 5, 6, 7, 22, 100, 1001, 9999, 10_000):
+        got = sv.enumerate_k3(deg, n_max).solutions
+        assert [(s.d, s.n, s.genus_ok) for s in got] == k3_solutions(deg, n_max)
+
+
+def test_enumerate_k3_degrees_4_and_6_return_at_once():
+    start = time.perf_counter()
+    quartic, sextic = sv.enumerate_k3(4, 10**20), sv.enumerate_k3(6, 10**20)
+    assert time.perf_counter() - start < 1
+    assert quartic.solutions == sextic.solutions == ()
+    assert quartic.flags == (sv.FLAG_K3_SET,) and sextic.flags == ()
+
+
+def test_general_rejects_negative_codim():
+    with pytest.raises(ValueError, match="codimension must be nonnegative"):
+        sv.severi_class_general(P2, ns.make_class(P2, [7]), 12, codim=-1)
 
 
 def test_imposing_wall():
