@@ -7,8 +7,11 @@ division is exact and no Fraction is made until solve divides by a pivot.
 The elimination yields pivot columns only; no determinant is kept.
 Congruence diagonalization (signature) is the symmetric form of the same
 step.  Products and sums stay ints on int inputs and become exact Fractions
-on Fraction inputs; there are no floats.  Matrices are sequences of row
-sequences; sizes stay tiny (rank at most five or six).
+on Fraction inputs; there are no floats.  primitive, which every elimination
+row and every cone ray passes through, divides an all-int vector by its gcd
+and clears denominators (exact, lcm) only when something else comes in.
+Matrices are sequences of row sequences; sizes stay tiny (rank at most five
+or six).
 """
 
 from __future__ import annotations
@@ -118,10 +121,18 @@ def dot(u, v):
 
 
 def primitive(vec) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers, keeping its direction."""
-    fr = exact(vec)
-    mult = lcm(*(x.denominator for x in fr))
-    ints = [x.numerator * mult // x.denominator for x in fr]
+    """Scale a rational vector to coprime integers, keeping its direction.
+
+    A vector of plain ints (bool is not one) is only divided by its gcd;
+    anything else goes through exact and is cleared of denominators first.
+    """
+    vec = tuple(vec)
+    if all(type(x) is int for x in vec):
+        ints = vec
+    else:
+        fr = exact(vec)
+        mult = lcm(*(x.denominator for x in fr))
+        ints = [x.numerator * mult // x.denominator for x in fr]
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")

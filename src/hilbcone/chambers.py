@@ -76,22 +76,25 @@ def _pointed_rays(rows: list[IntVec], d: int) -> list[IntVec]:
     incremental double description method (Motzkin et al. 1953) with the
     combinatorial adjacency test of Fukuda and Prodon (1996, "Double
     description method revisited").  It starts from the d leftmost
-    independent rows, the pivot columns of the transposed rows, whose cone is
-    simplicial: each of its rays spans the kernel of the other d-1 seed rows
-    and is signed to be positive on the one left out.  Each further row
-    splits the rays by sign; a ray it makes negative is dropped, and every
-    adjacent pair of a positive and a negative ray gives a new ray on the
-    row's hyperplane.  A ray's zero set is the bitmask of rows it makes
-    tight.  Two rays are adjacent when their common zero set has at least d-2
-    members and lies in no other ray's zero set.
+    independent rows S, the pivot columns of the transposed rows, whose cone
+    is simplicial: its i-th ray is zero on the other d-1 seed rows and
+    positive on row i.  One kernel of the augmented rows [S | -I] gives all
+    d of them: S is invertible, so the -I columns are the free ones, and the
+    kernel vector positive at column d+i and zero at the other free columns
+    has an S-part x with S.x = c*e_i, c > 0.  That x is the ray itself: c is
+    an integer combination of x's entries, so gcd(x) is the gcd of the whole
+    primitive kernel vector, 1.
+    Each further row splits the rays by sign; a ray it makes negative is
+    dropped, and every adjacent pair of a positive and a negative ray gives a
+    new ray on the row's hyperplane.  A ray's zero set is the bitmask of rows
+    it makes tight.  Two rays are adjacent when their common zero set has at
+    least d-2 members and lies in no other ray's zero set.
     """
     seed = la.nullspace(list(zip(*rows)), len(rows))[1]
     seeded = sum(1 << i for i in seed)
-    rays, zeros = [], []
-    for i in seed:
-        u = la.nullspace([rows[k] for k in seed if k != i], d)[0][0]
-        rays.append(u if la.dot(rows[i], u) > 0 else tuple(-x for x in u))
-        zeros.append(seeded & ~(1 << i))
+    aug = [(*rows[k], *(-1 if k == i else 0 for i in seed)) for k in seed]
+    rays = [v[:d] for v in la.nullspace(aug, 2 * d)[0]]
+    zeros = [seeded & ~(1 << i) for i in seed]
 
     for j, r in enumerate(rows):
         if seeded >> j & 1:

@@ -29,6 +29,11 @@ class CLIError(Exception):
     pass
 
 
+# blow_up writes a dense Gram matrix, so its cost grows with the square of
+# the number of exceptional classes; nested blowups count together
+MAX_BLOWUP_POINTS = 100
+
+
 def parse_surface(spec: str) -> ns.SurfaceLattice:
     parts = spec.split(":")
     try:
@@ -40,7 +45,12 @@ def parse_surface(spec: str) -> ns.SurfaceLattice:
             return ns.make_k3(int(parts[1]))
         if parts[0] == "blowup" and len(parts) >= 3:
             base = parse_surface(":".join(parts[1:-1]))
-            return ns.blow_up(base, int(parts[-1]))
+            k = int(parts[-1])
+            points = base.blown_up_points + k
+            if points > MAX_BLOWUP_POINTS:
+                raise CLIError(
+                    f"{points} blown-up points in all; the cap is {MAX_BLOWUP_POINTS}")
+            return ns.blow_up(base, k)
     except (ValueError, CLIError) as exc:
         raise CLIError(f"bad surface spec {spec!r}: {exc}") from exc
     raise CLIError(
@@ -140,18 +150,25 @@ def cmd_class(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.k3 is not None:
+        for flag in ("surface", "n", "filters"):
+            if getattr(args, flag) is not None:
+                raise CLIError(f"--{flag} does not apply with --k3")
         if args.nmax is None:
             raise CLIError("--k3 needs --nmax")
         payload = asdict(sv.enumerate_k3(args.k3, args.nmax))
         _emit(args, payload, _table(("d", "n", "genus_ok"), payload["solutions"])
               + ["flags: " + (", ".join(payload["flags"]) or "none")])
         return 0
+    if args.nmax is not None:
+        raise CLIError("--nmax applies with --k3 only")
     if args.surface is None:
         raise CLIError("need --surface or --k3")
     if args.n is None:
         raise CLIError("need --n")
     S = parse_surface(args.surface)
     if S.kind == "p2":
+        if args.filters is not None:
+            raise CLIError("--filters applies to fr:<r> surfaces only")
         payload = {"candidates": [asdict(c) for c in sv.enumerate_p2(args.n)]}
         _emit(args, payload, _table(("d", "n", "treger_birational", "treger_exception"),
                                     payload["candidates"]))

@@ -96,6 +96,11 @@ class SurfaceLattice:
     def rank(self) -> int:
         return len(self.basis_labels)
 
+    @property
+    def blown_up_points(self) -> int:
+        """The number of exceptional classes E1, E2, ... in the basis."""
+        return sum(1 for lab in self.basis_labels if re.fullmatch(r"E\d+", lab))
+
 
 def make_class(S: SurfaceLattice, coeffs) -> SurfaceClass:
     c = SurfaceClass(tuple(coeffs))
@@ -174,7 +179,7 @@ def blow_up(S: SurfaceLattice, k: int) -> SurfaceLattice:
     """
     if k < 1:
         raise ValueError("need at least one point to blow up")
-    start = 1 + sum(1 for lab in S.basis_labels if re.fullmatch(r"E\d+", lab))
+    start = 1 + S.blown_up_points
     new_labels = tuple(f"E{start + i}" for i in range(k))
     n = S.rank
     gram = [[S.gram[i][j] for j in range(n)] + [0] * k for i in range(n)]

@@ -8,6 +8,19 @@ from hilbcone import nslattice as ns
 from hilbcone.chambers import Cone
 
 
+def primitive(vec) -> tuple[int, ...]:
+    """vec scaled to coprime integers in its direction, all through Fraction.
+
+    The reference for _linalg.primitive, which the oracles here do not call.
+    """
+    fr = [Fraction(x) for x in vec]
+    if not any(fr):
+        raise ValueError("zero vector has no primitive representative")
+    mult = math.lcm(*(x.denominator for x in fr))
+    g = math.gcd(*(int(x * mult) for x in fr))
+    return tuple(int(x * mult / g) for x in fr)
+
+
 def rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Fraction; returns (rows, pivot columns)."""
     m = [[Fraction(x) for x in row] for row in rows]
@@ -142,7 +155,7 @@ def dual_description_subsets(rows: list, dim: int):
     """
     rows = [tuple(Fraction(x) for x in r) for r in rows]
     lineality = sorted(max(p, tuple(-x for x in p))
-                       for p in map(la.primitive, nullspace(rows, dim)))
+                       for p in map(primitive, nullspace(rows, dim)))
     lindim = len(lineality)
     ddim = dim - lindim
     if ddim == 0:
@@ -158,7 +171,7 @@ def dual_description_subsets(rows: list, dim: int):
 
     reduced = [tuple(la.dot(r, c) for c in comp) for r in rows]
     # positive scaling changes no half-space, and a zero row constrains nothing
-    reduced = [la.primitive(r) for r in reduced if any(r)]
+    reduced = [primitive(r) for r in reduced if any(r)]
 
     def independent(start, red):
         if len(red) == ddim - 1:
@@ -176,7 +189,7 @@ def dual_description_subsets(rows: list, dim: int):
         u = [int(j == free) for j in range(ddim)]
         for p, r in red:
             u[p] = -r[free]
-        u = la.primitive(u)
+        u = primitive(u)
         if u in tried:
             continue
         tried.add(u)
@@ -188,7 +201,7 @@ def dual_description_subsets(rows: list, dim: int):
         else:
             continue
         ray = tuple(sum(u[j] * comp[j][i] for j in range(ddim)) for i in range(dim))
-        rays.add(la.primitive(ray))
+        rays.add(primitive(ray))
     return sorted(rays), lineality
 
 

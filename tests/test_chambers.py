@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hilbcone import _linalg as la
 from hilbcone import chambers as ch
 from hilbcone import hilbpic as hp
 from hilbcone import nslattice as ns
@@ -294,6 +295,17 @@ def test_intersect_subspace_is_one_dual_pair(monkeypatch):
     calls.clear()
     D = ch.intersect_subspace(C, [(1, 1, 0), (0, 0, 1)])
     assert D.rays == ((0, 1), (2, -1)) and calls == [2, 2]
+
+
+def test_pointed_rays_seed_is_one_elimination(monkeypatch):
+    calls = []
+    kernel = la.nullspace
+    monkeypatch.setattr(la, "nullspace",
+                        lambda rows, ncols: calls.append(ncols) or kernel(rows, ncols))
+    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1), (-1, 2, 3)]
+    rays = ch._pointed_rays(rows, 3)
+    assert calls == [5, 6]
+    assert sorted(rays) == dual_description_subsets(rows, 3)[0]
 
 
 def test_entry_points_take_rational_strings_and_floats():

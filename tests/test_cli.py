@@ -93,6 +93,19 @@ def test_class_blowup_needs_h0(capsys):
     assert payload["pretty"] == "6H+E1-5/2B"
 
 
+def test_blowup_points_are_capped(capsys):
+    cap = cli.MAX_BLOWUP_POINTS
+    assert cli.parse_surface(f"blowup:p2:{cap}").rank == cap + 1
+    assert cli.parse_surface(f"blowup:blowup:p2:3:{cap - 3}").rank == cap + 1
+    for spec in (f"blowup:p2:{cap + 1}", f"blowup:blowup:p2:3:{cap - 2}",
+                 f"blowup:fr:1:{10 ** 12}"):
+        code, out, err = run_cli(capsys, "class", "--surface", spec,
+                                 "--curve", "3H", "--n", "2", "--h0", "6")
+        assert code == 2 and not out
+        assert err.startswith("hilbcone:") and err.count("\n") == 1
+        assert f"the cap is {cap}" in err
+
+
 def test_class_table_format(capsys):
     code, out, _ = run_cli(capsys, "class", "--surface", "p2",
                            "--curve", "7H", "--n", "12", "--format", "table")
@@ -179,16 +192,35 @@ def test_enumerate_k3(capsys):
     assert sv.FLAG_K3_SET in deg8["flags"]
 
 
+# flags that do not apply, each with the flag its error must name
+FLAGS_THAT_DO_NOT_APPLY = [
+    (("enumerate", "--surface", "p2", "--n", "12", "--filters", "bogus"), "--filters"),
+    (("enumerate", "--surface", "p2", "--n", "12", "--filters", "chi"), "--filters"),
+    (("enumerate", "--k3", "8", "--nmax", "5", "--surface", "fr:1"), "--surface"),
+    (("enumerate", "--k3", "8", "--nmax", "5", "--n", "3"), "--n"),
+    (("enumerate", "--k3", "8", "--nmax", "5", "--filters", "chi"), "--filters"),
+    (("enumerate", "--surface", "fr:1", "--n", "3", "--nmax", "5"), "--nmax"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ("enumerate", "--k3", "8"),
     ("enumerate", "--n", "12"),
     ("enumerate", "--surface", "fr:1"),
     ("enumerate", "--surface", "fr:1", "--n", "12", "--filters", "bogus"),
     ("enumerate", "--surface", "k3:8", "--n", "2"),
+    *(argv for argv, _ in FLAGS_THAT_DO_NOT_APPLY),
 ])
 def test_enumerate_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and err.startswith("hilbcone:")
+
+
+@pytest.mark.parametrize("argv, flag", FLAGS_THAT_DO_NOT_APPLY)
+def test_enumerate_names_the_flag_that_does_not_apply(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out and err.count("\n") == 1
+    assert err.startswith(f"hilbcone: {flag} ")
 
 
 # -- cone ------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from hilbcone import _linalg as la
 from hilbcone import nslattice as ns
+from oracles import primitive as oracle_primitive
 from oracles import rref
 from oracles import signature as oracle_signature
 from oracles import nullspace as rref_nullspace
@@ -313,6 +314,35 @@ def _random_system(rng):
     return rows, rhs, ncols
 
 
+def test_primitive_matches_fraction_oracle():
+    rng = random.Random(1996)
+    entries = {
+        "int": lambda: rng.randint(-12, 12),
+        "fraction": lambda: Fraction(rng.randint(-12, 12), rng.randint(1, 9)),
+        "bool": lambda: rng.random() < 0.5,
+    }
+    seen = dict.fromkeys(("int", "fraction", "bool", "mixed", "negative", "zero"), 0)
+    for _ in range(800):
+        kinds = rng.sample(sorted(entries), rng.randint(1, 3))
+        vec = [entries[rng.choice(kinds)]() for _ in range(rng.randint(1, 6))]
+        if not any(vec):
+            continue
+        assert la.primitive(vec) == oracle_primitive(vec), vec
+        assert all(type(x) is int for x in la.primitive(vec))
+        seen[kinds[0] if len(kinds) == 1 else "mixed"] += 1
+        seen["negative"] += any(x < 0 for x in vec)
+        seen["zero"] += 0 in vec
+    assert min(seen.values()) >= 50, seen
+    assert la.primitive((True, False)) == (1, 0)
+    assert la.primitive(("1/2", 0.25, -1)) == (2, 1, -4)
+    for zero in ((), (0, 0), (Fraction(0), False)):
+        with pytest.raises(ValueError, match="zero vector"):
+            la.primitive(zero)
+    for bad in ((1, None), (float("inf"), 1), (2, float("nan"))):
+        with pytest.raises(ValueError):
+            la.primitive(bad)
+
+
 def test_nullspace_and_solve_match_rational_elimination():
     rng = random.Random(1997)
     swapped = inconsistent = 0
@@ -320,7 +350,7 @@ def test_nullspace_and_solve_match_rational_elimination():
         rows, rhs, ncols = _random_system(rng)
         basis, pivots = la.nullspace(rows, ncols)
         assert pivots == rref(rows, ncols)[1]
-        assert basis == [la.primitive(v) for v in rref_nullspace(rows, ncols)]
+        assert basis == [oracle_primitive(v) for v in rref_nullspace(rows, ncols)]
         assert all(la.dot(r, v) == 0 for r in rows for v in basis)
         want = rref_solve(rows, rhs, ncols)
         got = la.solve(rows, rhs)
