@@ -28,7 +28,6 @@ from pathlib import Path
 
 from . import _linalg as la
 from . import hilbpic as hp
-from . import nslattice as ns
 
 IntVec = tuple[int, ...]
 
@@ -234,11 +233,14 @@ def restrict_walls(ws: WallSet, basis, labels=None) -> tuple[WallSet, list[Wall]
     Functionals vanishing identically on the subspace carry no information
     there and are returned separately as dropped; the rest are rewritten in
     subspace coordinates and deduplicated up to positive scaling.  The
-    bounding cone is intersected with the subspace.
+    bounding cone is intersected with the subspace.  Labels, when given,
+    name the basis vectors one each.
     """
     basis = [la.exact(b) for b in basis]
     k = len(basis)
     labels = tuple(labels) if labels else tuple(f"v{i+1}" for i in range(k))
+    if len(labels) != k:
+        raise ValueError(f"{len(labels)} labels for a basis of {k} vectors")
     kept: list[Wall] = []
     seen: set[IntVec] = set()
     dropped: list[Wall] = []
@@ -271,32 +273,16 @@ def transport_wallset_down(ws: WallSet) -> WallSet:
         raise ValueError("no Hirzebruch surface below F_0")
     if ws.basis_labels != ("E", "F", "B"):
         raise ValueError("wall transport needs the basis E, F, B")
-    r = ws.surface_r - 1
-    fr = ns.make_hirzebruch(r)
-    n = ws.n
-    basis_up = [hp.transport_up(hp.lift_divisor(fr, ns.resolve_label(fr, lab), n))
-                for lab in ("E", "F")]
-    basis_up.append(hp.transport_up(hp.exceptional(fr, n)))
-
-    def adjoint(phi: IntVec) -> IntVec:
-        vals = []
-        for up in basis_up:
-            coords = tuple(up.surface_part.coeffs) + (up.b_coeff,)
-            vals.append(la.dot(phi, coords))
-        return la.primitive(vals)
-
+    # phi precomposed with ROOF_UP is ROOF_UP transposed applied to phi
+    adjoint = tuple(zip(*hp.ROOF_UP))
     walls = tuple(
-        Wall(adjoint(w.functional), w.label,
+        Wall(la.primitive(la.mat_vec(adjoint, w.functional)), w.label,
              "transported hyperplane; wall-hood not verified")
         for w in ws.walls
     )
-    down = []
-    for g in generators(ws.bounding_cone):
-        d = hp.transport_down(hp.hilb_class(ns.make_hirzebruch(ws.surface_r),
-                                            g[:2], g[2], n))
-        down.append(tuple(d.surface_part.coeffs) + (d.b_coeff,))
+    down = [la.mat_vec(hp.ROOF_DOWN, g) for g in generators(ws.bounding_cone)]
     bc = cone_from_generators(down, 3) if down else ws.bounding_cone
-    return WallSet(ws.basis_labels, n, bc, walls, "hirzebruch", r)
+    return WallSet(ws.basis_labels, ws.n, bc, walls, "hirzebruch", ws.surface_r - 1)
 
 
 def locate(ws: WallSet, v) -> tuple[int, ...]:

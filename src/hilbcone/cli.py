@@ -324,7 +324,7 @@ def main(argv=None) -> int:
     except CLIError as exc:
         print(f"hilbcone: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"hilbcone: {exc}", file=sys.stderr)
         return 2
 

@@ -3,9 +3,19 @@
 N1 of X^[n] is spanned by lifts D[n] of surface divisor classes together
 with the exceptional class B of the Hilbert-Chow morphism; B/2 is integral.
 Curve classes are stored purely as pairing functionals, which is the only
-way they are ever used.  The module also carries the transport maps between
-Hilbert schemes of consecutive Hirzebruch surfaces, computed through the
-rank-three roof lattice rather than from hardcoded images.
+way they are ever used.
+
+The module also carries the transport maps between Hilbert schemes of
+consecutive Hirzebruch surfaces, as the integer matrices ROOF_UP and
+ROOF_DOWN on (E, F, B) coordinates.  They come from the roof, the blowup of
+F_r at a point of its negative section with exceptional class e, which is
+also a blowup of F_{r+1}.  In the roof's (E, F, e) coordinates the second
+projection pulls back E' = E - e and F' = F, and contracts ftilde = F - e.
+Going up, aE + bF equals aE' + (a+b)F' - a ftilde, and the ftilde part is
+dropped; going down, aE' + bF' equals aE + bF - ae, and the e part is
+dropped.  B passes through both.  test_roof_maps_match_the_oracle_derivation
+in tests/test_hilbpic.py solves for both matrices again from that basis
+change, for r = 0..10.
 """
 
 from __future__ import annotations
@@ -143,34 +153,23 @@ def pullback_blowup_hilb(target: SurfaceLattice, D: HilbDivClass) -> HilbDivClas
     return HilbDivClass(target, SurfaceClass(coeffs), D.b_coeff, D.n)
 
 
-def _roof_transport(surface_coeffs, r: int, up: bool) -> tuple[Fraction, Fraction]:
-    """Push a rank-two class through the roof over F_r and F_{r+1}.
+# aE + bF + beta B on F_r^[n] goes to aE + (a+b)F + beta B on F_{r+1}^[n],
+# and aE + bF + beta B on F_{r+1}^[n] to the same coefficients on F_r^[n]
+ROOF_UP = ((1, 0, 0), (1, 1, 0), (0, 0, 1))
+ROOF_DOWN = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-    Going up is pushforward-of-pullback along the two projections; the class
-    is pulled back to the roof in first-projection coordinates, rewritten in
-    second-projection coordinates by solving against the basis-change matrix,
-    and the exceptional direction is discarded.  Going down runs the same
-    diagram the other way.  Nothing here depends on r except through the
-    basis-change contract.
-    """
-    m = ns.roof_basis_change(r)
-    a, b = surface_coeffs
-    if up:
-        sol = la.solve([list(row) for row in m], (a, b, 0))
-        if sol is None:
-            raise ValueError("roof basis change is singular")  # cannot happen
-        return sol[0], sol[1]
-    v = la.mat_vec(m, (a, b, 0))
-    return v[0], v[1]
+
+def _apply_roof(D: HilbDivClass, m, r: int) -> HilbDivClass:
+    """Apply a roof matrix to D's (E, F, B) coordinates, landing on F_r^[n]."""
+    a, b, beta = la.mat_vec(m, (*D.surface_part.coeffs, D.b_coeff))
+    return HilbDivClass(ns.make_hirzebruch(r), SurfaceClass((a, b)), beta, D.n)
 
 
 def transport_up(D: HilbDivClass) -> HilbDivClass:
     """Carry a class from F_r^[n] to F_{r+1}^[n] through the roof."""
     if D.surface.kind != "hirzebruch":
         raise ValueError("transport is defined between Hirzebruch surfaces")
-    r = D.surface.r
-    a, b = _roof_transport(D.surface_part.coeffs, r, up=True)
-    return HilbDivClass(ns.make_hirzebruch(r + 1), SurfaceClass((a, b)), D.b_coeff, D.n)
+    return _apply_roof(D, ROOF_UP, D.surface.r + 1)
 
 
 def transport_down(D: HilbDivClass) -> HilbDivClass:
@@ -179,9 +178,7 @@ def transport_down(D: HilbDivClass) -> HilbDivClass:
         raise ValueError("transport is defined between Hirzebruch surfaces")
     if D.surface.r < 1:
         raise ValueError("no Hirzebruch surface below F_0")
-    r = D.surface.r - 1
-    a, b = _roof_transport(D.surface_part.coeffs, r, up=False)
-    return HilbDivClass(ns.make_hirzebruch(r), SurfaceClass((a, b)), D.b_coeff, D.n)
+    return _apply_roof(D, ROOF_DOWN, D.surface.r - 1)
 
 
 def slope_decompose(D: HilbDivClass, J: HilbDivClass, H: HilbDivClass) -> Fraction:

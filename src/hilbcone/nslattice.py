@@ -257,21 +257,3 @@ def is_effective(S: SurfaceLattice, C: SurfaceClass) -> str:
     if x is None:
         return "no"
     return "yes" if all(v >= 0 for v in x) else "no"
-
-
-def roof_basis_change(r: int) -> tuple[tuple[int, int, int], ...]:
-    """Basis change across the roof between F_r and F_{r+1}.
-
-    The roof surface is the blowup of F_r at a point of its negative section,
-    with exceptional class e; it is also a blowup of F_{r+1}.  Columns give
-    the second projection's pullback basis in the first one's coordinates
-    (E, F, e):
-
-        E' = E - e,   F' = F,   ftilde = F - e.
-
-    The matrix conjugates the roof gram for F_r into the roof gram for
-    F_{r+1}, which is what the tests pin down.
-    """
-    if r < 0:
-        raise ValueError("Hirzebruch parameter must be nonnegative")
-    return ((1, 0, 0), (0, 1, 1), (-1, 0, -1))

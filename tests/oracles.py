@@ -292,3 +292,50 @@ def fm_feasible(rows, rhs) -> bool:
                     new.add(comb)
         cons = new
     return all(c[m] >= 0 for c in cons) and all(e[m] == 0 for e in eqs)
+
+
+def roof_basis_change(r: int) -> tuple[tuple[int, int, int], ...]:
+    """Basis change across the roof between F_r and F_{r+1}.
+
+    The roof surface is the blowup of F_r at a point of its negative section,
+    with exceptional class e; it is also a blowup of F_{r+1}.  Columns give
+    the second projection's pullback basis in the first one's coordinates
+    (E, F, e):
+
+        E' = E - e,   F' = F,   ftilde = F - e.
+
+    The matrix conjugates the roof gram for F_r into the roof gram for
+    F_{r+1}, which test_roof_basis_change_is_gram_isometry pins down.
+    """
+    if r < 0:
+        raise ValueError("Hirzebruch parameter must be nonnegative")
+    return ((1, 0, 0), (0, 1, 1), (-1, 0, -1))
+
+
+def roof_transport(a, b, beta, r: int, up: bool) -> tuple[Fraction, Fraction, Fraction]:
+    """aE + bF + beta B pushed through the roof over F_r and F_{r+1}.
+
+    Going up, the class is pulled back to the roof in first-projection
+    coordinates, rewritten in second-projection coordinates by solving
+    against the basis change, and the exceptional direction ftilde is
+    discarded.  Going down, the basis change itself rewrites it, and e is
+    discarded.  B passes through.
+    """
+    m = roof_basis_change(r)
+    if up:
+        x = solve(m, (a, b, 0), 3)
+        if x is None:
+            raise ValueError("roof basis change is singular")
+    else:
+        x = [sum(Fraction(m[i][j]) * v for j, v in enumerate((a, b, 0))) for i in range(3)]
+    return x[0], x[1], Fraction(beta)
+
+
+def roof_maps(r: int) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """The up and down roof maps on (E, F, B) coordinates, column by column."""
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    out = []
+    for up in (True, False):
+        cols = [roof_transport(*u, r, up) for u in units]
+        out.append(tuple(tuple(col[i] for col in cols) for i in range(3)))
+    return tuple(out)

@@ -16,6 +16,7 @@ from hilbcone import hilbpic as hp
 from hilbcone import nslattice as ns
 from hilbcone import severi as sv
 from oracles import fm_member
+from oracles import roof_basis_change
 
 
 def criterion(num, title):
@@ -160,7 +161,7 @@ def test_criterion_10_transport_invariants():
         assert up.b_coeff == 0
         assert hp.transport_up(hp.exceptional(S, 7)) == hp.exceptional(S_up, 7)
         assert hp.transport_down(hp.exceptional(S_up, 7)) == hp.exceptional(S, 7)
-        m = ns.roof_basis_change(r)
+        m = roof_basis_change(r)
         roof = ns.blow_up(S, 1)
         roof_up = ns.blow_up(S_up, 1)
         cols = [ns.SurfaceClass(tuple(Fraction(m[i][j]) for i in range(3)))

@@ -130,6 +130,13 @@ def test_restriction_is_idempotent():
     assert again.bounding_cone == p2.bounding_cone
 
 
+def test_restriction_needs_one_label_per_basis_vector():
+    f1 = ch.load_fixture("f1n3.json").wallset
+    for labels in (("H",), ("H", "B", "X")):
+        with pytest.raises(ValueError, match="labels for a basis of 2 vectors"):
+            ch.restrict_walls(f1, [(1, 1, 0), (0, 0, 1)], labels=labels)
+
+
 def test_locate_sign_vectors_n12():
     ws = ch.load_fixture("p2n12_dk.json").wallset
     assert ch.locate(ws, (36, -5)) == (-1, -1, -1, -1, -1)

@@ -276,10 +276,14 @@ def test_cone_transport_prints_the_lineality(capsys, tmp_path):
     ("cone", "contains", "--rays", "B,Q", "--point", "B"),
     ("cone", "walls-restrict", "--fixture", "p2n3.json", "--subspace", "E"),
     ("cone", "contains", "--rays", "B,7H-B", "--point", "1/0H"),
+    ("cone", "transport", "--fixture", "{tmp}"),
+    ("plot", "--fixture", "p2n3.json", "--out", "{tmp}"),
 ])
-def test_cone_usage_errors_exit_2(capsys, argv):
-    code, _, err = run_cli(capsys, *argv)
+def test_cone_usage_errors_exit_2(capsys, tmp_path, argv):
+    # "{tmp}" stands for a directory where a file is expected
+    code, _, err = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
     assert code == 2 and err.startswith("hilbcone:")
+    assert len(err.splitlines()) == 1
 
 
 def _f1n3():

@@ -7,6 +7,7 @@ import pytest
 
 from hilbcone import hilbpic as hp
 from hilbcone import nslattice as ns
+from oracles import roof_maps, roof_transport
 
 
 P2 = ns.make_p2()
@@ -147,6 +148,30 @@ def test_transport_mixed_class():
     assert up.b_coeff == Fraction(-5, 2)
     down = hp.transport_down(d)
     assert down.surface_part.coeffs == (Fraction(19), Fraction(18))
+
+
+def test_roof_maps_match_the_oracle_derivation():
+    for r in range(11):
+        up, down = roof_maps(r)
+        assert up == hp.ROOF_UP
+        assert down == hp.ROOF_DOWN
+
+
+def test_transport_matches_the_oracle_on_random_classes():
+    rng = random.Random(20240)
+
+    def q():
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 6))
+
+    for _ in range(200):
+        r, n = rng.randint(0, 10), rng.randint(1, 20)
+        a, b, beta = q(), q(), q()
+        up = hp.transport_up(hp.hilb_class(ns.make_hirzebruch(r), [a, b], beta, n))
+        down = hp.transport_down(hp.hilb_class(ns.make_hirzebruch(r + 1), [a, b], beta, n))
+        for got, target, is_up in ((up, r + 1, True), (down, r, False)):
+            assert got.surface == ns.make_hirzebruch(target) and got.n == n
+            assert (*got.surface_part.coeffs, got.b_coeff) == roof_transport(
+                a, b, beta, r, is_up)
 
 
 def test_slope_decompose():

@@ -8,6 +8,7 @@ import pytest
 from hilbcone import _linalg as la
 from hilbcone import nslattice as ns
 from oracles import primitive as oracle_primitive
+from oracles import roof_basis_change
 from oracles import rref
 from oracles import signature as oracle_signature
 from oracles import nullspace as rref_nullspace
@@ -222,7 +223,7 @@ def test_adjunction_parity_random():
 
 
 def test_roof_basis_change_entries():
-    m = ns.roof_basis_change(2)
+    m = roof_basis_change(2)
     # columns are E-e, F, F-e in (E, F, e) coordinates
     cols = [tuple(m[i][j] for i in range(3)) for j in range(3)]
     assert cols[0] == (1, 0, -1)
@@ -234,7 +235,7 @@ def test_roof_basis_change_is_gram_isometry():
     for r in range(11):
         roof_r = ns.blow_up(ns.make_hirzebruch(r), 1)
         roof_r1 = ns.blow_up(ns.make_hirzebruch(r + 1), 1)
-        m = ns.roof_basis_change(r)
+        m = roof_basis_change(r)
         cols = [tuple(m[i][j] for i in range(3)) for j in range(3)]
         for i in range(3):
             for j in range(3):
