@@ -123,8 +123,9 @@ def dot(u, v):
 def primitive(vec) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers, keeping its direction.
 
-    A vector of plain ints (bool is not one) is only divided by its gcd;
-    anything else goes through exact and is cleared of denominators first.
+    A vector of plain ints (bool is not one) is only divided by its gcd, and
+    comes back as the same tuple when that is 1; anything else goes through
+    exact and is cleared of denominators first.
     """
     vec = tuple(vec)
     if all(type(x) is int for x in vec):
@@ -136,7 +137,7 @@ def primitive(vec) -> tuple[int, ...]:
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in ints)
+    return tuple(ints) if g == 1 else tuple(x // g for x in ints)
 
 
 def signature(gram) -> tuple[int, int, int]:

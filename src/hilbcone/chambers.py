@@ -1,11 +1,13 @@
 """Exact rational polyhedral cones, wall sets, and their restrictions.
 
-Cones are stored by primitive integer generators together with a derived
-facet description, both computed by the same double-description kernel:
-the dual of a list of vectors is found by splitting off the lineality space
-and running the incremental double description method on the pointed part,
-over Python ints, with a combinatorial adjacency test on bitmask zero sets.
-Everything is exact.
+Cones are stored by primitive integer generators together with a facet
+description, and one double description run gives both.  The dual of a list
+of vectors is found by splitting off the lineality space and running the
+incremental double description method on the pointed part, over Python
+ints, with a combinatorial adjacency test on bitmask zero sets.  Those zero
+sets, the incidence of rays and input rows, also pick out which input rows
+are irredundant, so the other side of the pair costs one more elimination,
+not a second run.  Everything is exact.
 
 Wall sets bundle a bounding cone with a list of wall functionals; the
 operations on them mirror how base-locus decompositions restrict to a
@@ -32,44 +34,73 @@ from . import hilbpic as hp
 IntVec = tuple[int, ...]
 
 
-def dual_description(rows: list, dim: int) -> tuple[list[IntVec], list[IntVec]]:
-    """Extreme rays and lineality of {x : r.x >= 0 for r in rows}.
+def dual_description(rows: list, dim: int) -> tuple[list[IntVec], ...]:
+    """Both descriptions of the cone {x : r.x >= 0 for r in rows}.
+
+    Returns its extreme rays, lineality, facets and equations, each sorted,
+    so Cone(dim, *dual_description(rows, dim)) is that cone.  Read with the
+    rows as the generators of a cone C, the same four lists are C's facets,
+    equations, rays and lineality, in that order.
 
     The lineality space is the kernel of the rows.  The pointed quotient is
     taken in the pivot columns of the rows' echelon form: their standard
     basis vectors complete the kernel, and they are the leftmost coordinates
     that do, so one elimination gives both.  There the extreme rays come from
     the incremental double description method over Python ints
-    (_pointed_rays), which calls two rays adjacent when the rows tight at
-    both number at least ddim-2 and are not all tight at any third ray.
-    Each ray is lifted back through those coordinates, so it keeps its
-    representative modulo the lineality space.
+    (_pointed_rays).  Each ray is lifted back through those coordinates, so
+    it keeps its representative modulo the lineality space.
+
+    The other side is read off the incidence of that one run.  The equations
+    are the kernel of the rays and lineality found.  Each row is taken modulo
+    the equations, to the representative that is zero at the kernel's free
+    columns, as a ray is modulo the lineality, and made primitive; it is a
+    facet when no other such row is tight at every ray it is tight at.  This
+    is exact by the face lattice.  A row r cuts out the face {x : r.x = 0},
+    which is spanned by the lineality and the rays it holds, so faces
+    compare as their tight-ray sets do.  Every proper face lies in a facet,
+    and a row cuts out each facet, as the rows generate the dual cone, whose
+    extreme rays are the facet normals.  So a row whose face is not a facet
+    has another row above it, while a row whose face is a facet has only
+    rows equal to it modulo the equations, which the representative merges.
+    Rows in the span of the equations cut out the whole cone and drop out.
     """
     if any(len(r) != dim for r in rows):
         raise ValueError(f"constraint rows must have {dim} entries")
     # positive scaling changes no half-space
     ints = list(dict.fromkeys(la.primitive(r) for r in rows if any(r)))
     kernel, comp = la.nullspace(ints, dim)
+    rays, zeros = [], []
+    if comp:
+        # a nonzero row stays nonzero on the complement, as it vanishes on the
+        # lineality space; distinct primitive rows stay distinct for the same reason
+        reduced = [la.primitive([r[i] for i in comp]) for r in ints]
+        pointed, zeros = _pointed_rays(reduced, len(comp))
+        for u in pointed:
+            ray = [0] * dim
+            for i, x in zip(comp, u):
+                ray[i] = x
+            rays.append(tuple(ray))
+
+    equations, pivots = la.nullspace(rays + kernel, dim)
+    free = [f for f in range(dim) if f not in pivots]
+    tight = {}
+    for j, r in enumerate(ints):
+        for v, f in zip(equations, free):
+            if r[f]:
+                r = tuple(v[f] * a - r[f] * b for a, b in zip(r, v))
+        if any(r):
+            tight.setdefault(la.primitive(r),
+                             sum(1 << k for k, z in enumerate(zeros) if z >> j & 1))
+    # each row's tight set contains itself, so a count of 1 means no other does
+    facets = [r for r, t in tight.items() if sum(s & t == t for s in tight.values()) == 1]
     # of p and -p, max() keeps the one whose first nonzero entry is positive
-    lineality = sorted(max(p, tuple(-x for x in p)) for p in kernel)
-    ddim = len(comp)
-    if ddim == 0:
-        return [], lineality
-
-    # a nonzero row stays nonzero on the complement, as it vanishes on the
-    # lineality space; distinct primitive rows stay distinct for the same reason
-    reduced = [la.primitive([r[i] for i in comp]) for r in ints]
-    rays = []
-    for u in _pointed_rays(reduced, ddim):
-        ray = [0] * dim
-        for i, x in zip(comp, u):
-            ray[i] = x
-        rays.append(tuple(ray))
-    return sorted(rays), lineality
+    return (sorted(rays), sorted(max(p, tuple(-x for x in p)) for p in kernel),
+            sorted(facets), sorted(max(p, tuple(-x for x in p)) for p in equations))
 
 
-def _pointed_rays(rows: list[IntVec], d: int) -> list[IntVec]:
-    """Extreme rays of the pointed cone {x in Q^d : r.x >= 0 for r in rows}.
+def _pointed_rays(rows: list[IntVec], d: int) -> tuple[list[IntVec], list[int]]:
+    """Extreme rays of the pointed cone {x in Q^d : r.x >= 0 for r in rows},
+    with the zero set of each.
 
     rows are distinct primitive integer rows of rank d.  This is the
     incremental double description method (Motzkin et al. 1953) with the
@@ -87,7 +118,11 @@ def _pointed_rays(rows: list[IntVec], d: int) -> list[IntVec]:
     dropped, and every adjacent pair of a positive and a negative ray gives a
     new ray on the row's hyperplane.  A ray's zero set is the bitmask of rows
     it makes tight.  Two rays are adjacent when their common zero set has at
-    least d-2 members and lies in no other ray's zero set.
+    least d-2 members and lies in no other ray's zero set.  A new ray is a
+    positive combination of its two parents, so it is tight at a row seen
+    before exactly when both are: every zero set stays exact, and the final
+    ones are the ray-row incidence that dual_description reads the other
+    side from.
     """
     seed = la.nullspace(list(zip(*rows)), len(rows))[1]
     seeded = sum(1 << i for i in seed)
@@ -118,7 +153,7 @@ def _pointed_rays(rows: list[IntVec], d: int) -> list[IntVec]:
         keep = [k for k, v in enumerate(vals) if v >= 0]
         rays = [rays[k] for k in keep] + new_rays
         zeros = [zeros[k] | bit if vals[k] == 0 else zeros[k] for k in keep] + new_zeros
-    return rays
+    return rays, zeros
 
 
 @dataclass(frozen=True)
@@ -135,6 +170,14 @@ class Cone:
     lineality: tuple[IntVec, ...]
     facets: tuple[IntVec, ...]
     equations: tuple[IntVec, ...]
+
+    def __post_init__(self):
+        # plain loops, as this runs for every cone built: any() per field
+        # costs three times as much
+        for name in ("rays", "lineality", "facets", "equations"):
+            for v in getattr(self, name):
+                if len(v) != self.dim:
+                    raise ValueError(f"cone {name} must have {self.dim} entries")
 
 
 def generators(C: Cone) -> list[IntVec]:
@@ -153,11 +196,10 @@ def cone_from_generators(vectors, dim: int | None = None) -> Cone:
         raise ValueError("generators of mixed dimensions")
     if any(all(x == 0 for x in v) for v in vecs):
         raise ValueError("zero vector is not a generator")
-    facets, equations = dual_description(vecs, dim)
-    constraint_rows = list(facets) + list(equations) + [tuple(-x for x in e) for e in equations]
-    rays, lineality = dual_description(constraint_rows, dim)
-    return Cone(dim, tuple(rays), tuple(lineality),
-                tuple(facets), tuple(equations))
+    # the dual cone's rays and lineality are C's facets and equations, and
+    # its irredundant rows, the generators, are C's rays
+    facets, equations, rays, lineality = dual_description(vecs, dim)
+    return Cone(dim, tuple(rays), tuple(lineality), tuple(facets), tuple(equations))
 
 
 def _member(C: Cone, v, side) -> bool:
@@ -180,9 +222,9 @@ def contains_interior(C: Cone, v) -> bool:
 def intersect_subspace(C: Cone, basis) -> Cone:
     """The cone {v in span(basis) : v in C}, written in basis coordinates.
 
-    One dual pair: the restricted facets and equations give the rays and
-    lineality, whose dual gives the facets and equations.  Those rays are
-    canonical, as the lineality space fixes their pivot coordinates.
+    One double description of the restricted facets and equations gives
+    both sides.  The rays are canonical, as the lineality space fixes their
+    pivot coordinates, and the facets likewise modulo the equations.
     """
     basis = [la.exact(b) for b in basis]
     k = len(basis)
@@ -191,13 +233,10 @@ def intersect_subspace(C: Cone, basis) -> Cone:
     ineq = [tuple(la.dot(f, b) for b in basis) for f in C.facets]
     eq = [tuple(la.dot(e, b) for b in basis) for e in C.equations]
     rows = ineq + eq + [tuple(-x for x in r) for r in eq]
-    rays, lineality = dual_description(rows, k)
-    gens = rays + lineality + [tuple(-x for x in l) for l in lineality]
-    if not gens:
-        # the zero cone; keep facet data consistent by using the equations x=0
-        zero_eqs = tuple(tuple(1 if j == i else 0 for j in range(k)) for i in range(k))
-        return Cone(k, (), (), (), zero_eqs)
-    facets, equations = dual_description(gens, k)
+    rays, lineality, facets, equations = dual_description(rows, k)
+    if not rays and not lineality:
+        # the zero cone, cut out by the coordinate equations in their order
+        equations = [tuple(int(i == j) for j in range(k)) for i in range(k)]
     return Cone(k, tuple(rays), tuple(lineality), tuple(facets), tuple(equations))
 
 
@@ -225,6 +264,16 @@ class WallSet:
     walls: tuple[Wall, ...]
     surface_kind: str = ""
     surface_r: int | None = None
+
+    def __post_init__(self):
+        dim = len(self.basis_labels)
+        if self.bounding_cone.dim != dim:
+            raise ValueError(f"a bounding cone of dimension {self.bounding_cone.dim}, "
+                             f"the basis has {dim}")
+        for w in self.walls:
+            if len(w.functional) != dim:
+                raise ValueError(f"wall {w.label!r} has a functional with "
+                                 f"{len(w.functional)} entries, the basis has {dim}")
 
 
 def restrict_walls(ws: WallSet, basis, labels=None) -> tuple[WallSet, list[Wall]]:
@@ -355,9 +404,6 @@ def load_fixture(name: str) -> Fixture:
         f = w.get("functional")
         if not isinstance(f, list):
             raise ValueError(f"wall {w.get('label', '')!r} has no functional")
-        if len(f) != dim:
-            raise ValueError(f"wall {w.get('label', '')!r} has a functional with "
-                             f"{len(f)} entries, the basis has {dim}")
     for i, m in enumerate(labels, 1):
         c = m.get("class")
         if not isinstance(c, list) or len(c) != dim or not isinstance(m.get("label"), str):

@@ -49,9 +49,10 @@ def test_effective_cone_p2_n12_memberships():
 
 
 def test_dual_description_halfspace():
-    rays, lineality = ch.dual_description([(1, 0, 0)], 3)
+    rays, lineality, facets, equations = ch.dual_description([(1, 0, 0)], 3)
     assert rays == [(1, 0, 0)]
     assert lineality == [(0, 0, 1), (0, 1, 0)]
+    assert facets == [(1, 0, 0)] and equations == []
 
 
 def test_full_plane_is_pure_lineality():
@@ -260,7 +261,7 @@ def test_dual_description_matches_subset_enumeration():
     rng = random.Random(20261018)
     for _ in range(150):
         rows, dim = _random_rows(rng)
-        assert ch.dual_description(rows, dim) == dual_description_subsets(rows, dim), (
+        assert ch.dual_description(rows, dim)[:2] == dual_description_subsets(rows, dim), (
             rows, dim)
 
 
@@ -299,9 +300,13 @@ def test_intersect_subspace_is_one_dual_pair(monkeypatch):
     monkeypatch.setattr(ch, "dual_description",
                         lambda rows, dim: calls.append(dim) or kernel(rows, dim))
     C = ch.cone_from_generators([(0, 0, 1), (1, 0, 0), (0, 4, -1), (2, 2, -1)])
+    assert calls == [3]
     calls.clear()
-    D = ch.intersect_subspace(C, [(1, 1, 0), (0, 0, 1)])
-    assert D.rays == ((0, 1), (2, -1)) and calls == [2, 2]
+    basis = [(1, 1, 0), (0, 0, 1)]
+    D = ch.intersect_subspace(C, basis)
+    assert calls == [2]
+    assert D.rays == ((0, 1), (2, -1)) and D.facets == ((1, 0), (1, 2))
+    assert D == restrict_cone(C, basis)
 
 
 def test_pointed_rays_seed_is_one_elimination(monkeypatch):
@@ -310,9 +315,80 @@ def test_pointed_rays_seed_is_one_elimination(monkeypatch):
     monkeypatch.setattr(la, "nullspace",
                         lambda rows, ncols: calls.append(ncols) or kernel(rows, ncols))
     rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1), (-1, 2, 3)]
-    rays = ch._pointed_rays(rows, 3)
+    rays, zeros = ch._pointed_rays(rows, 3)
     assert calls == [5, 6]
     assert sorted(rays) == dual_description_subsets(rows, 3)[0]
+    assert zeros == [sum(1 << j for j, r in enumerate(rows) if la.dot(r, u) == 0)
+                     for u in rays]
+    # a whole cone: the lineality split, the seed, and the kernel of the rays
+    calls.clear()
+    C = ch.cone_from_generators(rows)
+    assert calls == [3, 5, 6, 3]
+    assert C.rays == tuple(sorted(rows)) and C.lineality == ()
+
+
+def _random_generators(rng, seen):
+    """Generators with repeats, positive multiples, opposites and Fractions;
+    seen counts each kind."""
+    dim = rng.randint(1, 5)
+    # a few coordinates held at zero make lower-dimensional cones
+    live = [i for i in range(dim) if rng.random() < 0.8] or [0]
+    gens, k = [], rng.randint(1, dim + 3)
+    while len(gens) < k:
+        kind = rng.random()
+        if gens and kind < 0.1:
+            gens.append(rng.choice(gens))
+            seen["duplicate"] += 1
+        elif gens and kind < 0.2:
+            gens.append(tuple(rng.randint(2, 3) * x for x in rng.choice(gens)))
+            seen["parallel"] += 1
+        elif gens and kind < 0.3:
+            gens.append(tuple(-x for x in rng.choice(gens)))
+            seen["opposite"] += 1
+        else:
+            frac = kind < 0.45
+            v = tuple((Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if frac
+                       else rng.randint(-3, 3)) if i in live else 0 for i in range(dim))
+            if any(v):
+                gens.append(v)
+                seen["fraction"] += frac
+    return gens, dim
+
+
+def test_cone_from_generators_matches_two_subset_passes():
+    """All four fields of one double description against the old two passes."""
+    rng = random.Random(20261101)
+    seen = dict.fromkeys(("lineality", "lower", "fraction", "duplicate", "parallel",
+                          "opposite"), 0)
+    for _ in range(150):
+        gens, dim = _random_generators(rng, seen)
+        C = ch.cone_from_generators(gens, dim)
+        facets, equations = dual_description_subsets(gens, dim)
+        rays, lineality = dual_description_subsets(
+            facets + equations + [tuple(-x for x in e) for e in equations], dim)
+        assert C == ch.Cone(dim, tuple(rays), tuple(lineality), tuple(facets),
+                            tuple(equations)), (gens, dim)
+        seen["lineality"] += bool(lineality)
+        seen["lower"] += bool(equations)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_cone_rejects_vectors_of_the_wrong_length():
+    ch.Cone(2, ((1, 0),), (), ((1, 0),), ((0, 1),))
+    for fields in ((((1, 0, 0),), (), (), ()), ((), ((1,),), (), ()),
+                   ((), (), ((1, 0, 0),), ()), ((), (), (), ((0, 1), (1,)))):
+        with pytest.raises(ValueError, match="must have 2 entries"):
+            ch.Cone(2, *fields)
+
+
+def test_wallset_rejects_shapes_that_differ_from_the_basis():
+    C = ch.cone_from_generators([(1, 0), (0, 1)])
+    ch.WallSet(("x", "y"), 1, C, (ch.Wall((1, -1), "diag"),))
+    with pytest.raises(ValueError, match="wall 'tall' has a functional with 3 entries, "
+                                         "the basis has 2"):
+        ch.WallSet(("x", "y"), 1, C, (ch.Wall((1, -1), "diag"), ch.Wall((1, 0, 1), "tall")))
+    with pytest.raises(ValueError, match="bounding cone of dimension 2, the basis has 3"):
+        ch.WallSet(("x", "y", "z"), 1, C, ())
 
 
 def test_entry_points_take_rational_strings_and_floats():
